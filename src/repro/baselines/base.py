@@ -345,14 +345,6 @@ class GroupBuyingRecommender(Module):
         never diverge from what its tape path would compute; MGBR
         overrides this with the factorized stack mirror
         (:func:`repro.core.fused.fused_planned_scores`).
-
-        Under a backend that chunks rows (``repro.nn.parallel``), the
-        unique-pair range is partitioned into per-thread slabs: each
-        slab scores its contiguous pair block through its own
-        capacity-pooled child workspace and writes its slice of one
-        shared output buffer.  Multiply is elementwise and the row sum
-        reduces a non-leading axis, so any slab grid is bit-identical
-        to the serial pass — see docs/backends.md.
         """
         base = GroupBuyingRecommender
         if task == "items":
@@ -376,39 +368,8 @@ class GroupBuyingRecommender(Module):
                 emb.participant, plan.participants, plan=plan, role="pair_participants"
             )
         ws = self._fused_workspace()
-        dt = get_default_dtype()
-        ws.begin(dt)
-        a, b = e_u.data, e_v.data
-        if a.dtype == ws.dtype and b.dtype == ws.dtype:
-            slabs = ws.row_partition(a.shape[0])
-            if slabs is not None:
-                return self._fused_score_slabs(ws, slabs, a, b)
-        return ws.sum(ws.multiply(a, b), axis=1)
-
-    @staticmethod
-    def _fused_score_slabs(ws, slabs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-parallel dot-product flush: per-thread slabs, one output.
-
-        Slab ``i`` computes ``(a[s:e] * b[s:e]).sum(axis=1)`` in its own
-        child workspace and writes ``out[s:e]`` — disjoint slices of the
-        parent-owned buffer, so no synchronisation beyond the join.  The
-        child's backend call runs serial inside the pool worker (nested
-        chunking is disabled there), keeping each row's pairwise ``sum``
-        within its slab — bitwise equal to the serial flush for every
-        slab grid.
-        """
-        out = ws.out((a.shape[0],))
-        children = [ws.slab(i) for i in range(len(slabs))]
-        for child in children:
-            child.begin(ws.dtype)
-
-        def body(i, start, stop):
-            child = children[i]
-            prod = child.multiply(a[start:stop], b[start:stop])
-            child.b.sum(prod, axis=1, out=out[start:stop])
-
-        ws.run_slabs(slabs, body)
-        return out
+        ws.begin(get_default_dtype())
+        return ws.sum(ws.multiply(e_u.data, e_v.data), axis=1)
 
     def _run_plan(self, plan: ScoringPlan, task: str) -> np.ndarray:
         """Dispatch one plan to the resolved executor → ``(P,)`` float64.

@@ -20,22 +20,6 @@ parity tests catch any drift.
 Returns ``None`` (caller falls back to the tape) for model
 configurations the mirror does not cover: subclassed MTL stacks/layers
 or prediction heads with a non-ReLU activation or live dropout.
-
-Row-parallel execution
-----------------------
-Under the thread-parallel backend (``repro.nn.parallel``) this program
-parallelizes *through its primitives*, not by partitioning the program:
-the per-pair takes/adds, gate softmaxes, ReLU masks and row reductions
-row-chunk across the backend pool inside each workspace op, while every
-GEMM stays full-batch.  That split is deliberate — BLAS GEMM kernels
-are selected per problem shape, so ``(A @ B)[s:e] != A[s:e] @ B``
-bitwise for many of this program's shapes (gate logits with K or 2K
-columns, the head's out-dim-1 GEMV), whereas the chunked ops are
-row-independent and bitwise invariant under any grid.  Running the
-GEMMs whole keeps float64 parity with the serial pass *and* with the
-tape, while BLAS supplies its own GIL-free threading for them.  The
-base dot-product mirror (``_fused_score_slabs``) additionally slab-
-partitions whole flushes, because multiply + row-sum has no GEMM.
 """
 
 from __future__ import annotations

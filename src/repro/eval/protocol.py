@@ -78,7 +78,6 @@ from repro.executor import VALID_EXECUTORS
 from repro.data.samples import extract_task_a, extract_task_b
 from repro.data.schema import GroupBuyingDataset
 from repro.eval.metrics import RankingAccumulator, rank_of_positive, ranks_of_positives
-from repro.nn.backend import ArrayBackend, backend_scope, get_backend, resolve_backend
 from repro.nn.tensor import dtype_scope, no_grad
 from repro.plan import ScoringPlan
 from repro.utils.rng import SeedLike
@@ -127,12 +126,6 @@ class EvalProtocol:
         the duration of :meth:`run` and restored afterwards.  At
         float64 the fused path is bit-identical to the tape, so metrics
         are executor-invariant (asserted in tests).
-    backend: array-backend knob (``"auto"``, a registered backend name
-        such as ``"parallel"``, or an :class:`repro.nn.backend
-        .ArrayBackend` instance) scoped around :meth:`run`.  ``"auto"``
-        keeps the calling thread's active backend.  The parallel
-        backend preserves float64 bit-parity with numpy (see
-        ``docs/backends.md``), so metrics are backend-invariant.
     """
 
     dataset: GroupBuyingDataset
@@ -145,7 +138,6 @@ class EvalProtocol:
     dtype: str = "float64"
     dedup: object = "auto"
     executor: str = "auto"
-    backend: object = "auto"
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -161,8 +153,6 @@ class EvalProtocol:
             raise ValueError(
                 f"executor must be one of {VALID_EXECUTORS}, got {self.executor!r}"
             )
-        if not isinstance(self.backend, ArrayBackend) and self.backend != "auto":
-            get_backend(self.backend)  # fail fast on unknown backend names
 
     def _resolve_dedup(self, model) -> bool:
         """Map the ``dedup`` knob to a per-model decision."""
@@ -299,8 +289,7 @@ class EvalProtocol:
         if prior_executor is not None:
             model.executor = self.executor
         try:
-            with no_grad(), dtype_scope(self.dtype), \
-                    backend_scope(resolve_backend(self.backend)):
+            with no_grad(), dtype_scope(self.dtype):
                 if hasattr(model, "refresh_cache"):
                     model.refresh_cache()
                 task_a, task_b = self._candidate_lists()
@@ -373,12 +362,11 @@ def evaluate_model(
     dtype: str = "float64",
     dedup="auto",
     executor: str = "auto",
-    backend: object = "auto",
 ) -> Dict[str, EvalResult]:
     """Run the paper's two standard protocols and key results by cutoff.
 
     Returns e.g. ``{"@10": EvalResult, "@100": EvalResult}``.  ``dtype``,
-    ``chunk_size``, ``dedup``, ``executor`` and ``backend`` forward to
+    ``chunk_size``, ``dedup`` and ``executor`` forward to
     :class:`EvalProtocol`.
     """
     out: Dict[str, EvalResult] = {}
@@ -394,7 +382,6 @@ def evaluate_model(
             dtype=dtype,
             dedup=dedup,
             executor=executor,
-            backend=backend,
         )
         out[f"@{cutoff}"] = protocol.run(model)
     return out

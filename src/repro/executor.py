@@ -59,8 +59,8 @@ __all__ = ["FusedWorkspace", "resolve_executor", "VALID_EXECUTORS"]
 
 #: The executor knob's accepted values (model attribute, serving/eval
 #: parameters).  ``"auto"`` defers to the ``REPRO_EXECUTOR`` environment
-#: variable (read at call time, default ``"fused"``); gradients always
-#: force the tape regardless.
+#: variable (read at call time, default ``"fused"``, any other value an
+#: error); gradients always force the tape regardless.
 VALID_EXECUTORS = ("auto", "fused", "tape")
 
 #: Environment override consulted by ``"auto"`` (CI's tape-flip lane
@@ -73,7 +73,9 @@ def resolve_executor(mode: str, grad_enabled: bool = False) -> str:
 
     Gradient recording always wins: the fused path builds no graph, so
     training and gradcheck code transparently stay on the tape even with
-    ``executor="fused"`` set on the model.
+    ``executor="fused"`` set on the model.  A ``REPRO_EXECUTOR`` value
+    other than ``"fused"``/``"tape"`` raises: a mistyped CI lane must
+    fail, not silently test the default.
     """
     if mode not in VALID_EXECUTORS:
         raise ValueError(f"executor must be one of {VALID_EXECUTORS}, got {mode!r}")
@@ -82,7 +84,9 @@ def resolve_executor(mode: str, grad_enabled: bool = False) -> str:
     if mode == "auto":
         mode = os.environ.get(EXECUTOR_ENV, "fused")
         if mode not in ("fused", "tape"):
-            mode = "fused"
+            raise ValueError(
+                f"{EXECUTOR_ENV} must be 'fused' or 'tape', got {mode!r}"
+            )
     return mode
 
 
@@ -133,11 +137,6 @@ class FusedWorkspace:
         # (a gc'd temp's id could otherwise be recycled onto a foreign
         # array, which an in-place op would then corrupt).
         self._live: List[np.ndarray] = []
-        # Row-parallel fused flush: per-slab child workspaces, one per
-        # slab index, each with its own capacity-pooled buffers.  Slab
-        # bodies write disjoint row slices of *shared* output arrays the
-        # parent allocated, so children never touch each other's state.
-        self._slabs: List["FusedWorkspace"] = []
 
     def snapshot(self) -> Dict[str, int]:
         """All counters, including the hot-path hit/miss ints."""
@@ -255,49 +254,6 @@ class FusedWorkspace:
     def scalar(self, value):
         """``value`` as a zero-dim scalar of the flush dtype."""
         return self.dtype.type(value)
-
-    # ------------------------------------------------------------------
-    # Row-parallel flush support (backends exposing ``row_partition``)
-    # ------------------------------------------------------------------
-    def row_partition(self, n_rows: int):
-        """The active backend's slab grid for ``n_rows``, or ``None``.
-
-        Only backends that chunk rows (``repro.nn.parallel``) provide
-        ``row_partition``; everything else runs serial.  The grid is
-        deterministic in ``(n_rows, threads, threshold)`` — never in
-        runtime load — so a row-parallel fused program is bitwise
-        reproducible across schedules.
-        """
-        partition = getattr(self.b, "row_partition", None)
-        return partition(n_rows) if partition is not None else None
-
-    def slab(self, i: int) -> "FusedWorkspace":
-        """Child workspace for slab ``i`` (created once, pooled forever).
-
-        Children carry their own slot pools (capacity-pooled like the
-        parent's, so steady slab grids reuse warm pages) and must be
-        ``begin``-ed by the *calling* thread each flush before slab
-        bodies run on pool workers.
-        """
-        while len(self._slabs) <= i:
-            self._slabs.append(FusedWorkspace())
-        return self._slabs[i]
-
-    def run_slabs(self, slabs, body) -> None:
-        """Execute ``body(i, start, stop)`` for each slab, pool-parallel.
-
-        Delegates to the backend's ``run_slabs`` (slab 0 inline on the
-        caller, the rest on the persistent pool, submitting thread's
-        backend installed in each worker); a backend without one runs
-        the slabs serially in order — same results either way, because
-        slab bodies write disjoint output slices.
-        """
-        runner = getattr(self.b, "run_slabs", None)
-        if runner is None:
-            for i, (start, stop) in enumerate(slabs):
-                body(i, start, stop)
-        else:
-            runner(slabs, body)
 
     # ------------------------------------------------------------------
     # Primitives — each mirrors the tape's op bit-for-bit

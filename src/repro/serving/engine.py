@@ -40,9 +40,15 @@ drive the same :class:`repro.serving.core.ScoringCore`, so the plan,
 the model call and the scatter are literally the same computation.
 
 A flush whose model call raises fails that task's tickets with the
-captured exception (submitters see the real error from ``wait()``) and
-the worker keeps serving subsequent batches — one poisoned batch never
-takes the engine down.
+captured exception (submitters see the real error from ``wait()``),
+logs one warning on the ``repro.serving`` logger, and the worker keeps
+serving subsequent batches — one poisoned batch never takes the engine
+down.
+
+The worker always scores under the numpy reference backend: the
+thread-local active backend does not cross the thread spawn, so a
+``backend_scope`` around :meth:`ServingEngine.start` stays on the
+starting thread.
 
 Overload behaviour
 ------------------
@@ -77,12 +83,14 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.backend import ArrayBackend, backend_scope, get_backend, resolve_backend
 from repro.serving.core import PendingScores, RequestQueue, ScoringCore, split_expired
 from repro.serving.degrade import DegradationPolicy
 from repro.serving.errors import DeadlineExceeded, EngineStopped
+from repro.utils.logging import get_logger
 
 __all__ = ["ServingEngine"]
+
+logger = get_logger("serving")
 
 
 class ServingEngine:
@@ -114,14 +122,6 @@ class ServingEngine:
         ``"tape"``, see ``docs/backends.md``) applied to the model (and
         the degradation fallback, if any).  ``"auto"`` (default) serves
         fused unless ``REPRO_EXECUTOR=tape`` overrides it.
-    backend: array-backend knob for the flush thread — a registered
-        name (``"numpy"``/``"parallel"``), an
-        :class:`repro.nn.ArrayBackend` instance, or ``"auto"``
-        (default).  ``"auto"`` inherits whatever backend the thread
-        calling :meth:`start` is using (which is itself seeded from
-        ``REPRO_BACKEND``) — the worker thread would otherwise silently
-        reset to the process default.  Resolved once per :meth:`start`;
-        every flush runs under it.
 
     Usage::
 
@@ -146,7 +146,6 @@ class ServingEngine:
         max_queue_age_ms: Optional[float] = None,
         degradation: Optional[DegradationPolicy] = None,
         executor: str = "auto",
-        backend: object = "auto",
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -156,10 +155,6 @@ class ServingEngine:
             raise ValueError(
                 f"max_queue_age_ms must be > 0, got {max_queue_age_ms}"
             )
-        if not isinstance(backend, ArrayBackend) and backend != "auto":
-            get_backend(backend)  # fail fast on unknown names
-        self._backend_mode = backend
-        self._worker_backend: Optional[ArrayBackend] = None
         self._core = ScoringCore(model, dtype, executor=executor)
         self.max_pending = max_pending
         self.max_delay_ms = float(max_delay_ms)
@@ -211,19 +206,6 @@ class ServingEngine:
         return self._core.executor
 
     @property
-    def backend(self) -> str:
-        """The array backend the flush thread runs under.
-
-        The resolved backend's name once the engine has started; before
-        that, the knob as configured (``"auto"`` resolves at
-        :meth:`start` against the starting thread's active backend).
-        """
-        if self._worker_backend is not None:
-            return self._worker_backend.name
-        mode = self._backend_mode
-        return mode.name if isinstance(mode, ArrayBackend) else str(mode)
-
-    @property
     def max_queue_rows(self) -> Optional[int]:
         """The admission depth budget (``None`` = admit everything)."""
         return self._queue.max_rows
@@ -238,15 +220,8 @@ class ServingEngine:
                 raise RuntimeError("serving engine is already running")
             self._stopping = False
             self._worker_error = None
-            # Capture the starting thread's backend NOW: the worker
-            # thread starts at the process default, which would silently
-            # drop an enclosing backend_scope (the thread-local does not
-            # cross spawns).  An explicit knob wins over inheritance.
-            self._worker_backend = resolve_backend(
-                self._backend_mode, inherited=get_backend()
-            )
             self._worker = threading.Thread(
-                target=self._run_worker, name="repro-serving-engine", daemon=True
+                target=self._run, name="repro-serving-engine", daemon=True
             )
             self._worker.start()
         return self
@@ -466,11 +441,6 @@ class ServingEngine:
         remaining = self.max_delay_ms / 1000.0 - (time.monotonic() - anchored)
         return max(remaining, 0.0)
 
-    def _run_worker(self) -> None:
-        """Worker entry: install the backend captured at start()."""
-        with backend_scope(self._worker_backend):
-            self._run()
-
     def _run(self) -> None:
         try:
             while True:
@@ -575,10 +545,21 @@ class ServingEngine:
                 core = self._fallback_core
         try:
             core.execute(items, participants)
-        except Exception:
+        except Exception as exc:
             # Tickets already carry the captured exception; the engine
             # keeps serving subsequent batches.
-            pass
+            logger.warning(
+                "serving flush failed (cause=%s, item_requests=%d, "
+                "participant_requests=%d): %s: %s",
+                cause, len(items), len(participants), type(exc).__name__, exc,
+                extra={
+                    "flush_cause": cause,
+                    "item_requests": len(items),
+                    "participant_requests": len(participants),
+                    "error_type": type(exc).__name__,
+                },
+                exc_info=exc,
+            )
         duration = time.perf_counter() - started
         with self._cv:
             self._served_seq = max(self._served_seq, last_seq)
@@ -617,7 +598,6 @@ class ServingEngine:
                 "running": self._running_locked(),
                 "dtype": self._core.dtype,
                 "executor": self._core.executor,
-                "backend": self.backend,
                 "max_pending": self.max_pending,
                 "max_delay_ms": self.max_delay_ms,
                 "pending_rows": dict(self._queue.pending_rows),

@@ -46,8 +46,17 @@ class TestResolveExecutor:
     def test_auto_reads_env(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "tape")
         assert resolve_executor("auto") == "tape"
-        monkeypatch.setenv(EXECUTOR_ENV, "garbage")
+        monkeypatch.setenv(EXECUTOR_ENV, "fused")
         assert resolve_executor("auto") == "fused"
+
+    def test_auto_rejects_unknown_env_value(self, monkeypatch):
+        # A mistyped lane (``tpae``) must fail loudly, not run the default.
+        monkeypatch.setenv(EXECUTOR_ENV, "tpae")
+        with pytest.raises(ValueError, match="REPRO_EXECUTOR.*'tpae'"):
+            resolve_executor("auto")
+        # Explicit modes and gradient recording never consult the env.
+        assert resolve_executor("fused") == "fused"
+        assert resolve_executor("auto", grad_enabled=True) == "tape"
 
     def test_model_knob_validates(self, tiny_dataset):
         model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=4, seed=0)

@@ -1,6 +1,7 @@
 """Tests for the asynchronous serving engine (repro.serving.engine)."""
 
 import json
+import logging
 import threading
 import time
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import GBMF
+from repro.nn import CountingBackend, backend_scope
 from repro.serving import RequestBatcher, ServingEngine
 from repro.store import cache_hot_rows
 
@@ -70,6 +72,18 @@ class TestLifecycle:
         engine.stop()
         with pytest.raises(RuntimeError, match="not running"):
             engine.submit_items(0, [0])
+
+    def test_backend_scope_does_not_leak_into_worker(self, gbmf):
+        # The active backend is thread-local: a scope around start()
+        # stays on the starting thread, and the worker scores on numpy.
+        counting = CountingBackend()
+        with backend_scope(counting):
+            engine = ServingEngine(gbmf, max_delay_ms=1.0).start()
+        try:
+            assert engine.score_items(3, [0, 1, 2], timeout=5.0).shape == (3,)
+        finally:
+            engine.stop()
+        assert counting.counts == {} and counting.copies == 0
 
     def test_context_manager(self, gbmf):
         with ServingEngine(gbmf, max_delay_ms=5.0) as engine:
@@ -275,6 +289,27 @@ class TestFailureIsolation:
             later = engine.submit_participants(1, 0, [3])
             assert later.wait(timeout=5.0).shape == (1,)
             assert engine.stats()["batcher"]["failed_flushes"] == 1
+
+    def test_failed_flush_logs_one_warning(self, tiny_dataset, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.serving")
+        model = _BoomGBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=4, seed=0)
+        with ServingEngine(model, max_delay_ms=5.0) as engine:
+            bad = engine.submit_items(0, [0, 1])
+            with pytest.raises(ValueError, match="kaboom"):
+                bad.wait(timeout=5.0)
+            # The next flush is served, and only the failed one logged.
+            later = engine.submit_participants(1, 0, [3])
+            assert later.wait(timeout=5.0).shape == (1,)
+            failed = engine.stats()["batcher"]["failed_flushes"]
+        records = [r for r in caplog.records if r.name == "repro.serving"]
+        assert failed == 1 and len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.WARNING
+        assert record.flush_cause in ("deadline", "size", "drain", "stop")
+        assert record.item_requests == 1
+        assert record.participant_requests == 0
+        assert record.error_type == "ValueError"
+        assert "kaboom" in record.getMessage()
 
 
 class TestStatsAndStores:
