@@ -12,8 +12,9 @@ slowing the clients).
 Cells sweep ``offered rate × flush deadline × store layout``:
 
 * ``dense``   — GBMF over single-table stores;
-* ``sharded`` — the same tables range-partitioned 4 ways (every flush
-  regroups ids per shard);
+* ``sharded`` — the same tables range-partitioned across 4 shard worker
+  processes (:class:`repro.store.ProcessShardedStore`; every flush
+  gathers over the shard RPC);
 * ``lru``     — the sharded layout fronted by a
   :class:`repro.store.LRUCachedStore` hot-row cache; ids are
   Zipf-skewed, so the cache absorbs the head of the distribution.
@@ -80,7 +81,7 @@ from repro.serving import (
     OverloadError,
     ServingEngine,
 )
-from repro.store import cache_hot_rows
+from repro.store import ProcessShardedStore, cache_hot_rows
 
 N_USERS = int(os.environ.get("REPRO_BENCH_SERVE_USERS", "3000"))
 N_ITEMS = int(os.environ.get("REPRO_BENCH_SERVE_ITEMS", "1000"))
@@ -122,13 +123,23 @@ def _zipf_ids(rng: np.random.Generator, n: int, bound: int) -> np.ndarray:
 
 
 def build_model(store: str) -> GBMF:
-    n_shards = 0 if store == "dense" else N_SHARDS
-    model = GBMF(N_USERS, N_ITEMS, dim=DIM, seed=SEED, n_shards=n_shards)
+    """GBMF over ``store``'s layout; sharded layouts need :func:`close_model`."""
+    sharded = store != "dense"
+    model = GBMF(N_USERS, N_ITEMS, dim=DIM, seed=SEED,
+                 n_shards=N_SHARDS if sharded else 0, service=sharded)
     if store == "lru":
         cache_hot_rows(model, LRU_CAPACITY)
     model.eval()
     model.refresh_cache()
     return model
+
+
+def close_model(model: GBMF) -> None:
+    """Stop the shard worker processes behind a model's tables."""
+    for store in model.embedding_stores().values():
+        store = getattr(store, "inner", store)  # under the LRU cache
+        if isinstance(store, ProcessShardedStore):
+            store.close()
 
 
 def make_requests(rng: np.random.Generator, n: int, width: int = CANDIDATES):
@@ -483,12 +494,15 @@ def run_benchmark(rates=RATES, deadlines=DEADLINES_MS, stores=STORES,
         "cells": [],
     }
     for store in stores:
-        model = build_model(store)
         for rate in rates:
             for deadline in deadlines:
-                rng = np.random.default_rng(SEED + 1)
-                n = n_requests or int(min(max(rate * 1.5, 300), 3000))
-                cell = run_cell(model, rate, deadline, n, rng)
+                model = build_model(store)
+                try:
+                    rng = np.random.default_rng(SEED + 1)
+                    n = n_requests or int(min(max(rate * 1.5, 300), 3000))
+                    cell = run_cell(model, rate, deadline, n, rng)
+                finally:
+                    close_model(model)
                 cell["store"] = store
                 report["cells"].append(cell)
     return report

@@ -35,12 +35,12 @@ class GBMF(GroupBuyingRecommender):
     dim: latent factor width.
     seed: initialisation seed.
     n_shards / partition / service: storage layout of the three tables
-        (:mod:`repro.store`); with ``n_shards >= 2`` (or ``service=True``)
-        the scoring paths gather rows straight from the shard workers and
-        no full table is ever materialised — scores stay bit-identical to
-        dense because gathers copy exact rows.  ``service=True`` moves
-        the shards into worker processes (the cross-process shard
-        service, :class:`repro.store.ProcessShardedStore`).
+        (:mod:`repro.store`); with ``service=True`` each table lives in
+        ``n_shards`` worker processes (the cross-process shard service,
+        :class:`repro.store.ProcessShardedStore`), the scoring paths
+        gather rows straight from the workers and no full table is ever
+        materialised — scores stay bit-identical to dense because
+        gathers copy exact rows.  Close the stores when done.
     quantize: quantised memory tier (``None``/"int8"/"fp16") for the
         three tables — see docs/quantization.md.  Any quantised layout
         hands the scoring paths the stores (like the sharded layouts),
@@ -75,11 +75,7 @@ class GBMF(GroupBuyingRecommender):
         )
         # Store-backed bundles route scoring through store.gather, which
         # is what lets the quantised tier serve inference reads.
-        self._sharded = (
-            n_shards >= 2
-            or service
-            or not isinstance(self.initiator_table.store, DenseStore)
-        )
+        self._sharded = not isinstance(self.initiator_table.store, DenseStore)
 
     def compute_embeddings(self) -> EmbeddingBundle:
         """MF has no encoder — the tables are the representations.

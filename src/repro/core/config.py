@@ -102,23 +102,23 @@ class MGBRConfig:
 
     # --- storage layout -------------------------------------------------
     #: Shard count for every layer-0 embedding table (the GCN feature
-    #: tables).  0/1 keeps the dense single-table layout; >= 2 partitions
-    #: each table across a :class:`repro.store.ShardedStore` — scores,
-    #: losses and trained weights are bit-identical to dense at float64
-    #: for any count, so the knob is purely a memory-layout decision.
+    #: tables).  0/1 keeps the dense single-table layout; >= 2 needs
+    #: ``embedding_service=True``.
     embedding_shards: int = 0
     #: Row-to-shard assignment: "range" (contiguous blocks) or "hash"
     #: (modulo striping); see :class:`repro.store.Partitioner`.
     embedding_partition: str = "range"
-    #: Move each table's shards into worker *processes*
+    #: Partition each table across worker *processes*
     #: (:class:`repro.store.ProcessShardedStore`): rows are owned and
-    #: gathered outside the GIL over shared-memory buffers.  Same
-    #: bit-parity contract as the in-process layouts.
+    #: gathered outside the GIL over shared-memory buffers.  Scores,
+    #: losses and trained weights are bit-identical to dense at float64
+    #: for any shard count, so the knob is purely a memory-layout
+    #: decision.
     embedding_service: bool = False
     #: Quantised embedding memory tier: ``None`` (float rows), "int8"
     #: (per-row affine codes + scale/zero side arrays, ~4× rows per
-    #: byte) or "fp16" (~2×).  Training bypasses the tier (in-process
-    #: layouts keep a float master; a quantised *service* layout is
+    #: byte) or "fp16" (~2×).  Training bypasses the tier (the dense
+    #: layout keeps a float master; a quantised *service* layout is
     #: inference-only).  See docs/quantization.md.
     embedding_quantize: Optional[str] = None
 
@@ -149,6 +149,12 @@ class MGBRConfig:
         if self.embedding_shards < 0:
             raise ValueError(
                 f"embedding_shards must be >= 0, got {self.embedding_shards}"
+            )
+        if self.embedding_shards >= 2 and not self.embedding_service:
+            raise ValueError(
+                f"embedding_shards={self.embedding_shards} needs "
+                "embedding_service=True (service=True): shards run in "
+                "worker processes"
             )
         if self.embedding_partition not in ("range", "hash"):
             raise ValueError(

@@ -286,9 +286,8 @@ def fused_planned_scores(model, emb, plan, task: str) -> Optional[np.ndarray]:
     ``task`` is ``"items"`` (head A) or ``"participants"`` (head B).
     The result lives in workspace buffers — callers must copy before the
     next flush (the public plan scorers do).  Entity gathers go through
-    :meth:`repro.core.model.MGBR._planned_entities`, so store statistics,
-    LRU caching and plan-cached shard maps behave identically to the
-    tape path.
+    :meth:`repro.core.model.MGBR._planned_entities`, so store statistics
+    and LRU caching behave identically to the tape path.
     """
     head = model.head_a if task == "items" else model.head_b
     mtl = model.mtl

@@ -168,10 +168,10 @@ class MTLLayer(Module):
         ``e_u``/``e_i``/``e_p`` hold one row per *unique* entity of a
         :class:`repro.plan.ScoringPlan` (gathered upstream — from a
         dense tensor or per-shard from a :class:`repro.store
-        .ShardedStore`, the stack is layout-blind); the ``*_pos`` arrays
-        map each unique request onto them.  Every layer-0 linear (expert
-        and generic-gate, Eq. 7-10/14) reads a concatenation of ``g⁰``
-        copies, so ``W·[e_u; e_i; e_p] = W_u·e_u + W_i·e_i + W_p·e_p``
+        .ProcessShardedStore`, the stack is layout-blind); the
+        ``*_pos`` arrays map each unique request onto them.  Every
+        layer-0 linear (expert and generic-gate, Eq. 7-10/14) reads a
+        concatenation of ``g⁰`` copies, so ``W·[e_u; e_i; e_p] = W_u·e_u + W_i·e_i + W_p·e_p``
         distributes into per-entity partial projections computed once
         per unique entity and gather-added per request — the FLOP cut
         that makes candidate-matrix scoring cheap.  Each bank's partial

@@ -199,17 +199,16 @@ class Embedding(Module):
     Storage is delegated to a :class:`repro.store.EmbeddingStore`: the
     default :class:`repro.store.DenseStore` keeps the historical single
     ``weight`` parameter (``emb.weight`` / ``emb.all()`` behave exactly
-    as before), while ``n_shards >= 2`` partitions the *same* initial
-    values across a :class:`repro.store.ShardedStore` whose per-shard
-    parameters register here as ``shard0..shardN-1``.  ``service=True``
-    moves those shards into worker *processes*
-    (:class:`repro.store.ProcessShardedStore`) behind the identical
-    contract.  ``quantize="int8"|"fp16"`` adds the quantised memory
-    tier on any layout (:class:`repro.store.QuantizedStore` /
-    worker-side quantisation — see docs/quantization.md).  Checkpoint
-    state is canonical either way — one logical ``weight`` table — so a
-    model saved under any layout restores under any other (see
-    ``Module.state_dict``).
+    as before), while ``service=True`` partitions the *same* initial
+    values across ``n_shards`` worker *processes*
+    (:class:`repro.store.ProcessShardedStore`) whose per-shard
+    parameters register here as ``shard0..shardN-1``; ``n_shards >= 2``
+    without ``service=True`` raises.  ``quantize="int8"|"fp16"`` adds
+    the quantised memory tier on either layout
+    (:class:`repro.store.QuantizedStore` / worker-side quantisation —
+    see docs/quantization.md).  Checkpoint state is canonical either
+    way — one logical ``weight`` table — so a model saved under any
+    layout restores under any other (see ``Module.state_dict``).
     """
 
     def __init__(

@@ -156,47 +156,6 @@ class ScoringPlan:
             return None
         return self._entity("participants", self.participants)[1]
 
-    # ------------------------------------------------------------------
-    # Per-shard gather maps (sharded embedding stores)
-    # ------------------------------------------------------------------
-    #: role -> attribute holding the id array a shard map is built over.
-    #: ``users``/``items``/``participants`` are the *unique-entity*
-    #: arrays the factorized stack gathers; the ``pair_*`` roles are the
-    #: per-unique-request columns the default pair-dedup hooks gather.
-    _SHARD_ROLES = {
-        "users": "unique_users",
-        "items": "unique_items",
-        "participants": "unique_participants",
-        "pair_users": "users",
-        "pair_items": "items",
-        "pair_participants": "participants",
-    }
-
-    def shard_map(self, role: str, partitioner):
-        """Cached per-shard gather map for one of this plan's id arrays.
-
-        ``partitioner`` is duck-typed (anything with a hashable ``key``
-        and a ``build_map(ids)`` — :class:`repro.store.Partitioner` in
-        practice), keeping this module NumPy-only.  The compiled
-        :class:`repro.store.ShardMap` groups the role's ids by owning
-        shard so a sharded store answers the whole gather touching each
-        shard exactly once; caching it here means every tower/head that
-        re-gathers the same role during one planned call (and the
-        trainer's repeated use of one step's plan) reuses the grouping.
-        """
-        try:
-            ids = getattr(self, self._SHARD_ROLES[role])
-        except KeyError:
-            raise ValueError(
-                f"unknown shard-map role {role!r}; known: {sorted(self._SHARD_ROLES)}"
-            ) from None
-        if ids is None:
-            raise ValueError(f"role {role!r} is empty on a pair plan")
-        key = ("shard_map", role, partitioner.key)
-        if key not in self._entity_cache:
-            self._entity_cache[key] = partitioner.build_map(ids)
-        return self._entity_cache[key]
-
     @classmethod
     def for_items(cls, users, candidate_items) -> "ScoringPlan":
         """Plan a Task-A candidate matrix: ``(n,)`` users × ``(n, m)`` items."""
@@ -416,11 +375,6 @@ class PlannedBatch:
     def n_flat(self) -> int:
         """Total request rows across all segments."""
         return self.plan.n_flat
-
-    def shard_map(self, role: str, partitioner):
-        """Per-shard gather map of the underlying plan (see
-        :meth:`ScoringPlan.shard_map`)."""
-        return self.plan.shard_map(role, partitioner)
 
     def scatter(self, unique_scores):
         """Unique-request scores → the flat per-request score vector.

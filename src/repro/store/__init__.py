@@ -5,17 +5,15 @@ Public surface:
 * :class:`EmbeddingStore` — the storage contract behind
   :class:`repro.nn.layers.Embedding`;
 * :class:`DenseStore` — the single-table layout (default);
-* :class:`ShardedStore` — rows hash/range-partitioned across N
-  in-process shard workers, gathered once per shard per planned call;
-* :class:`ProcessShardedStore` — the same partitioning with each shard
-  owned by a **worker process**, answering gathers over shared-memory
-  row buffers (the cross-process shard service, see
-  :mod:`repro.store.service`);
+* :class:`ProcessShardedStore` — the one sharded layout: rows
+  hash/range-partitioned across N **worker processes**, answering
+  gathers over shared-memory row buffers (the cross-process shard
+  service, see :mod:`repro.store.service`);
 * :class:`LRUCachedStore` / :func:`cache_hot_rows` — hot-row LRU cache
   decorating any store (serving's skewed id streams hit it instead of
-  the shard machinery);
+  the shard workers);
 * :class:`Partitioner` / :class:`ShardMap` — id→shard assignment and
-  compiled per-shard gather plans (also cached on scoring plans);
+  compiled per-shard gather plans;
 * :func:`make_store` — layout factory used by the layer constructors;
 * :func:`iter_stores` — find store-backed embeddings in a module tree.
 """
@@ -32,12 +30,10 @@ from repro.store.dense import DenseStore
 from repro.store.lru import LRUCachedStore, cache_hot_rows
 from repro.store.quant import QuantizedStore, check_quant_mode, quant_bytes_per_row
 from repro.store.service import ProcessShardedStore, RemoteShardParameter
-from repro.store.sharded import ShardedStore
 
 __all__ = [
     "EmbeddingStore",
     "DenseStore",
-    "ShardedStore",
     "ProcessShardedStore",
     "RemoteShardParameter",
     "LRUCachedStore",
@@ -54,7 +50,7 @@ __all__ = [
 def _resolve_quantize(quantize, service: bool) -> Optional[str]:
     """Apply the ``REPRO_QUANTIZE`` process default to an unset knob.
 
-    The env default covers the *in-process* layouts only: a quantised
+    The env default covers the dense layout only: a quantised
     process-shard service is inference-only (grad gathers raise), so
     turning it on implicitly would break any training construction —
     ``service=True`` stores opt in explicitly via ``quantize=``.
@@ -75,23 +71,24 @@ def make_store(
     service: bool = False,
     quantize: Optional[str] = None,
 ) -> EmbeddingStore:
-    """Build the layout for an initial table: dense unless ``n_shards >= 2``.
+    """Build the layout for an initial table.
 
-    ``n_shards`` of 0 or 1 keeps the single-table :class:`DenseStore`
-    (bit-for-bit the historical behaviour); 2+ partitions the same
-    initial values across a :class:`ShardedStore`, so any layout built
-    from one init array scores identically.  ``service=True`` moves the
-    shards into worker *processes* (:class:`ProcessShardedStore`) —
-    same contract, same bits, rows owned and gathered outside the GIL
-    (one worker when ``n_shards`` is 0/1).
+    ``service=False`` (the default) keeps the single-table
+    :class:`DenseStore`; ``n_shards`` must then be 0 or 1.
+    ``service=True`` partitions the table across ``max(n_shards, 1)``
+    worker *processes* (:class:`ProcessShardedStore`) — same contract,
+    same bits, rows owned and gathered outside the GIL.  Sharding
+    without ``service=True`` raises rather than spawning processes
+    behind the caller's back: workers must be closed, and quantised
+    process stores cannot train.
 
     ``quantize="int8"|"fp16"`` adds the quantised memory tier
-    (docs/quantization.md): in-process layouts get a
+    (docs/quantization.md): the dense layout gets a
     :class:`QuantizedStore` wrapper over the float master (training
     bypasses it; inference gathers dequantise from the compact shadow),
     while ``service=True`` quantises the rows *inside* each worker
     process (inference-only).  ``quantize=None`` defers to the
-    ``REPRO_QUANTIZE`` environment default for in-process layouts;
+    ``REPRO_QUANTIZE`` environment default for the dense layout;
     ``quantize="none"`` pins the float layout regardless.
     """
     if n_shards < 0:
@@ -101,10 +98,12 @@ def make_store(
         return ProcessShardedStore(
             values, max(n_shards, 1), partition, quantize=mode
         )
-    if n_shards <= 1:
-        store: EmbeddingStore = DenseStore(values)
-    else:
-        store = ShardedStore(values, n_shards, partition)
+    if n_shards >= 2:
+        raise ValueError(
+            f"n_shards={n_shards} needs service=True: the sharded layout runs "
+            "its shards in worker processes"
+        )
+    store: EmbeddingStore = DenseStore(values)
     if mode is not None:
         store = QuantizedStore(store, mode)
     return store

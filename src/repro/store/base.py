@@ -38,47 +38,46 @@ from repro.nn.tensor import Tensor, is_grad_enabled
 __all__ = ["ShardMap", "Partitioner", "EmbeddingStore", "iter_stores"]
 
 
+def check_ids(ids, num_rows: int) -> np.ndarray:
+    """``ids`` as an int64 array, or ``ValueError`` if any row is outside
+    ``[0, num_rows)`` — negative ids would otherwise wrap to the table's
+    tail under NumPy indexing."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_rows):
+        raise ValueError(
+            f"ids must lie in [0, {num_rows}), got range "
+            f"[{int(ids.min())}, {int(ids.max())}]"
+        )
+    return ids
+
+
 @dataclass
 class ShardMap:
     """A compiled per-shard gather plan for one id array.
 
     Attributes
     ----------
-    n_rows:
-        Length of the original id array.
     per_shard_local:
         One *shard-local* row-index array per shard — the rows each
         shard worker serves for this gather (empty arrays for untouched
         shards).  Concatenating the per-shard results yields the rows in
         shard-grouped ``order``.
     order:
-        ``(n_rows,)`` original positions grouped by owning shard (the
-        stable grouping permutation).
+        Original positions grouped by owning shard (the stable grouping
+        permutation).
     inverse:
-        ``(n_rows,)`` indices such that ``grouped[inverse]`` restores
-        the caller's request order.
+        Indices such that ``grouped[inverse]`` restores the caller's
+        request order.
     identity:
-        Whether ``order`` is already the identity — true for sorted ids
-        under range partitioning (every planned gather: plan entity ids
-        come out of ``np.unique``), letting the store skip the
-        reassembly permutation entirely.
+        Whether ``order`` is already the identity (e.g. sorted ids under
+        range partitioning), letting the store skip the reassembly
+        permutation entirely.
     """
 
-    n_rows: int
     per_shard_local: List[np.ndarray]
     order: np.ndarray
     inverse: np.ndarray
     identity: bool
-
-    @property
-    def shards_touched(self) -> int:
-        """How many shards this gather actually visits."""
-        return sum(1 for local in self.per_shard_local if len(local))
-
-    @property
-    def max_shard_rows(self) -> int:
-        """Largest per-shard gather — the transient resident-row cost."""
-        return max((len(local) for local in self.per_shard_local), default=0)
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,6 @@ class Partitioner:
         sizes = [base + (1 if k < extra else 0) for k in range(self.n_shards)]
         starts = np.concatenate([[0], np.cumsum(sizes)])
         object.__setattr__(self, "_starts", tuple(int(s) for s in starts))
-
-    @property
-    def key(self) -> Tuple:
-        """Hashable identity for shard-map caching (e.g. on a plan)."""
-        return (self.kind, self.n_shards, self.num_rows)
 
     def shard_size(self, shard: int) -> int:
         """Number of rows shard ``shard`` owns."""
@@ -151,14 +145,9 @@ class Partitioner:
         Each shard appears exactly once, so one planned call touches
         every shard at most once regardless of how ids interleave.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = check_ids(ids, self.num_rows)
         if ids.ndim != 1:
             raise ValueError(f"shard maps need 1-D id arrays, got shape {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_rows):
-            raise ValueError(
-                f"ids must lie in [0, {self.num_rows}), got range "
-                f"[{int(ids.min())}, {int(ids.max())}]"
-            )
         owners = self.owner(ids)
         order = np.argsort(owners, kind="stable")
         local = self.to_local(ids, owners)
@@ -171,7 +160,6 @@ class Partitioner:
         inverse[order] = np.arange(len(ids))
         identity = bool(np.array_equal(order, np.arange(len(ids))))
         return ShardMap(
-            n_rows=len(ids),
             per_shard_local=per_shard_local,
             order=order,
             inverse=inverse,
@@ -237,8 +225,11 @@ class EmbeddingStore:
         """``(name, parameter)`` leaves for the owning module to register."""
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
-        """Rows for logical ``ids`` → differentiable ``(len(ids), dim)``."""
+    def gather(self, ids) -> Tensor:
+        """Rows for logical ``ids`` → differentiable ``(len(ids), dim)``.
+
+        Every layout raises the same ``ValueError`` for ids outside
+        ``[0, num_rows)`` (see :meth:`_check_ids`)."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     def all(self) -> Tensor:
@@ -269,6 +260,10 @@ class EmbeddingStore:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+    def _check_ids(self, ids) -> np.ndarray:
+        """Validate ``ids`` against this table (every gather/assign_rows)."""
+        return check_ids(ids, self.num_rows)
+
     def _check_table(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         if values.shape != (self.num_rows, self.dim):

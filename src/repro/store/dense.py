@@ -8,7 +8,7 @@ copy, and ``Embedding.all() is Embedding.weight`` stays true).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -49,9 +49,8 @@ class DenseStore(EmbeddingStore):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
-        del plan, role  # a single shard needs no gather map
-        idx = np.asarray(ids, dtype=np.int64)
+    def gather(self, ids) -> Tensor:
+        idx = self._check_ids(ids)
         self._record_gather(idx.size, 1 if idx.size else 0, idx.size)
         self._record_touch(self.weight, idx)
         return take_rows(self.weight, idx)
@@ -70,7 +69,7 @@ class DenseStore(EmbeddingStore):
         self._assign_param(self.weight, self._check_table(values), dtype)
 
     def assign_rows(self, ids, values) -> None:
-        idx = np.asarray(ids, dtype=np.int64)
+        idx = self._check_ids(ids)
         self.weight.data[idx] = values
         self.weight.bump_version()
 

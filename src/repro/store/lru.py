@@ -2,13 +2,12 @@
 
 Serving traffic is heavily skewed: a few celebrity users and head items
 appear in a large fraction of requests, while a sharded table answers
-every gather by regrouping ids and touching shard buffers.  An
+every gather with a round trip to its shard worker processes.  An
 :class:`LRUCachedStore` decorates any :class:`repro.store.base
-.EmbeddingStore` (in practice a :class:`repro.store.ShardedStore` — a
-dense table is already one flat buffer) and keeps the most recently
+.EmbeddingStore` (in practice a :class:`repro.store.ProcessShardedStore`
+— a dense table is already one flat buffer) and keeps the most recently
 requested ``capacity`` rows resident in a plain id→row map, so a
-serving gather only pays the inner store's shard machinery for the
-cold tail.
+serving gather only pays the shard round trip for the cold tail.
 
 Correctness contract
 --------------------
@@ -111,12 +110,12 @@ class LRUCachedStore(EmbeddingStore):
         versions = sum(p.version for _, p in self.inner.named_parameters())
         return (versions, get_default_dtype().str)
 
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
+    def gather(self, ids) -> Tensor:
         if is_grad_enabled():
             # Differentiable gathers must build the inner store's graph;
             # the cache only ever serves inference reads.
-            return self.inner.gather(ids, plan=plan, role=role)
-        idx = np.asarray(ids, dtype=np.int64).ravel()
+            return self.inner.gather(ids)
+        idx = self._check_ids(ids).ravel()
         unique = np.unique(idx)
         epoch = self._current_epoch()
         found = {}

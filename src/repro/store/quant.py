@@ -263,12 +263,12 @@ class QuantizedStore(EmbeddingStore):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
+    def gather(self, ids) -> Tensor:
         if is_grad_enabled():
             # Training reads the float master — gradients, touched-row
             # records and optimizer state never see quantised values.
-            return self.inner.gather(ids, plan=plan, role=role)
-        idx = np.asarray(ids, dtype=np.int64).ravel()
+            return self.inner.gather(ids)
+        idx = self._check_ids(ids).ravel()
         with self._qlock:
             self._sync_locked()
             q = self._q[idx]
@@ -322,7 +322,7 @@ class QuantizedStore(EmbeddingStore):
         included.  If the shadow was already stale, the write just keeps
         it stale (the next read resyncs in full).
         """
-        idx = np.asarray(ids, dtype=np.int64).ravel()
+        idx = self._check_ids(ids).ravel()
         with self._qlock:
             pre = self._inner_epoch()
             self.inner.assign_rows(idx, values)

@@ -1,11 +1,10 @@
 """Cross-process shard service: multiprocessing workers + shared memory.
 
-A :class:`ProcessShardedStore` is the process-boundary sibling of
-:class:`repro.store.sharded.ShardedStore`: each shard of the logical
-``(num_rows, dim)`` table lives in a **worker process** that owns its
-rows, and every store operation is a batched RPC answered over
-**shared-memory row buffers** — no GIL coupling on the row copies, and
-no pickling of row data, ever:
+A :class:`ProcessShardedStore` is the repository's one sharded
+embedding layout: each shard of the logical ``(num_rows, dim)`` table
+lives in a **worker process** that owns its rows, and every store
+operation is a batched RPC answered over **shared-memory row buffers**
+— no GIL coupling on the row copies, and no pickling of row data, ever:
 
 * the parent writes one planned call's row ids into a shared id arena
   and rings each touched worker's doorbell (a
@@ -33,14 +32,14 @@ private copy: autograd graphs outlive arbitrarily many forwards.
 Bit-identity contract
 ---------------------
 Forward rows are exact copies of the logical table, so scores match the
-dense layout bit-for-bit.  The backward mirrors the in-process sharded
-adjoint exactly: the parent splits the incoming gradient by owning
-shard (a pure permutation), ships each slice through the result arena,
-and the **worker** applies the same
-:func:`repro.nn.tensor._scatter_rows_add` + zeros-init accumulation an
-in-process shard parameter would — followed, at ``optimizer.step()``,
-by the same per-shard dense (or lazy-row) Adam/SGD arithmetic on
-worker-owned moment buffers.  Training with a ``ProcessShardedStore``
+dense layout bit-for-bit.  The backward mirrors the dense adjoint
+exactly: the parent splits the incoming gradient by owning shard (a
+pure permutation that keeps each row's occurrence order), ships each
+slice through the result arena, and the **worker** applies the same
+:func:`repro.nn.tensor._scatter_rows_add` + zeros-init accumulation the
+dense parameter would receive for its rows — followed, at
+``optimizer.step()``, by the same per-shard dense (or lazy-row)
+Adam/SGD arithmetic on worker-owned moment buffers.  Training with a ``ProcessShardedStore``
 is therefore bit-for-bit the dense run (asserted in
 ``tests/test_store_service.py``), because every per-row update depends
 only on that row's gradient and state.
@@ -90,15 +89,18 @@ import numpy as np
 
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor, _scatter_rows_add, is_grad_enabled
-from repro.store.base import EmbeddingStore, Partitioner, ShardMap
+from repro.store.base import EmbeddingStore, Partitioner
 from repro.store.quant import (
     check_quant_mode,
     dequantize_rows,
     quant_bytes_per_row,
     quantize_rows,
 )
+from repro.utils.logging import get_logger
 
 __all__ = ["ProcessShardedStore", "RemoteShardParameter"]
+
+logger = get_logger("store")
 
 
 # Per-worker slots of the shared stats block (single writer per row —
@@ -226,7 +228,7 @@ def _record_worker_touch(state: _WorkerState, local: np.ndarray) -> None:
 def _worker_adam(state: _WorkerState, lr, b1, b2, eps, wd, t, lazy) -> bool:
     """One Adam update on the owned rows — :class:`repro.nn.optim.Adam`
     arithmetic verbatim, so the result is bit-identical to the update
-    the in-process shard parameter would receive."""
+    the same rows of a dense parameter would receive."""
     grad = state.grad
     if grad is None:
         return False
@@ -515,8 +517,8 @@ class _Guard:
 class RemoteShardParameter(Parameter):
     """Parent-side handle for rows owned by a shard worker.
 
-    Registers on the owning :class:`repro.nn.layers.Embedding` like an
-    in-process shard parameter, but holds **no rows** — ``data`` is an
+    Registers on the owning :class:`repro.nn.layers.Embedding` like a
+    dense parameter, but holds **no rows** — ``data`` is an
     empty ``(0, dim)`` placeholder.  Gradient and optimizer state live
     in the worker; the ``remote_*`` hooks let
     :func:`repro.nn.optim.clip_grad_norm` and the optimizers drive it
@@ -864,28 +866,41 @@ class ProcessShardedStore(EmbeddingStore):
             elapsed_ms=elapsed_ms,
         )
 
+    def _fail(self, shard: int, started: float, why: str) -> Exception:
+        """Mark ``shard`` failed, log it, and return its
+        :class:`ShardUnavailable`.
+
+        Called once per shard: :meth:`_transact` never contacts a shard
+        already in ``_failed``, so later gathers raise without logging.
+        """
+        self._failed[shard] = why
+        error = self._unavailable(shard, started, why)
+        logger.warning(
+            "shard %d worker unavailable (%s) after %.1fms",
+            shard, why, error.elapsed_ms,
+            extra={"shard": shard, "reason": why, "elapsed_ms": error.elapsed_ms},
+        )
+        return error
+
     def _recv(self, shard: int, started: float):
         conn, proc = self._conns[shard], self._procs[shard]
         deadline = started + self.rpc_timeout
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                self._failed[shard] = "rpc timeout"
-                raise self._unavailable(shard, started, "rpc timeout")
+                raise self._fail(shard, started, "rpc timeout")
             try:
                 if conn.poll(min(0.1, remaining)):
                     return conn.recv()
             except (EOFError, OSError):
-                self._failed[shard] = "pipe closed"
-                raise self._unavailable(shard, started, "pipe closed") from None
+                raise self._fail(shard, started, "pipe closed") from None
             if not proc.is_alive():
                 try:  # drain a reply that raced the exit
                     if conn.poll(0):
                         return conn.recv()
                 except (EOFError, OSError):
                     pass
-                self._failed[shard] = "worker died"
-                raise self._unavailable(shard, started, "worker died")
+                raise self._fail(shard, started, "worker died")
 
     def _collect(self, pending: List[int], started: float):
         """Collect one ack per pending shard via a single ``wait`` loop.
@@ -908,9 +923,9 @@ class ProcessShardedStore(EmbeddingStore):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 for k in outstanding.values():
-                    self._failed[k] = "rpc timeout"
+                    failure = self._fail(k, started, "rpc timeout")
                     if error is None:
-                        error = self._unavailable(k, started, "rpc timeout")
+                        error = failure
                 break
             ready = _wait_connections(
                 list(outstanding), timeout=min(0.1, remaining)
@@ -920,9 +935,9 @@ class ProcessShardedStore(EmbeddingStore):
                 try:
                     replies[k] = conn.recv()
                 except (EOFError, OSError):
-                    self._failed[k] = "pipe closed"
+                    failure = self._fail(k, started, "pipe closed")
                     if error is None:
-                        error = self._unavailable(k, started, "pipe closed")
+                        error = failure
             if ready:
                 continue
             for conn, k in list(outstanding.items()):
@@ -934,9 +949,9 @@ class ProcessShardedStore(EmbeddingStore):
                             continue
                     except (EOFError, OSError):
                         pass
-                    self._failed[k] = "worker died"
+                    failure = self._fail(k, started, "worker died")
                     if error is None:
-                        error = self._unavailable(k, started, "worker died")
+                        error = failure
         return replies, error
 
     def _transact(self, msgs: Dict[int, tuple]) -> Dict[int, tuple]:
@@ -965,9 +980,9 @@ class ProcessShardedStore(EmbeddingStore):
                 self._conns[k].send(msgs[k])
                 sent.append(k)
             except (OSError, BrokenPipeError, ValueError):
-                self._failed[k] = "pipe closed"
+                failure = self._fail(k, started, "pipe closed")
                 if error is None:
-                    error = self._unavailable(k, started, "pipe closed")
+                    error = failure
         replies, recv_error = self._collect(sent, started)
         if error is None:
             error = recv_error
@@ -1048,55 +1063,28 @@ class ProcessShardedStore(EmbeddingStore):
     # ------------------------------------------------------------------
     # Gather (the hot path)
     # ------------------------------------------------------------------
-    def shard_map(self, ids, plan=None, role: Optional[str] = None) -> ShardMap:
-        """Per-shard gather plan for ``ids`` (plan-cached when given)."""
-        if plan is not None and role is not None:
-            return plan.shard_map(role, self.partitioner)
-        return self.partitioner.build_map(ids)
-
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
+    def gather(self, ids) -> Tensor:
         self._check_open()
-        idx = np.asarray(ids, dtype=np.int64)
+        idx = self._check_ids(ids)
         n = idx.size
         grad = is_grad_enabled()
         if grad and self.quantize:
             # Fail before any RPC: quantised workers hold no float rows
-            # to train (the in-process QuantizedStore bypasses to its
-            # float master here; this layout deliberately has none).
+            # to train (the dense QuantizedStore bypasses to its float
+            # master here; this layout deliberately has none).
             raise RuntimeError(_QUANT_TRAIN_ERROR)
 
-        smap: Optional[ShardMap] = None
-        if plan is not None and role is not None:
-            smap = plan.shard_map(role, self.partitioner)
-            if smap.n_rows != n:
-                # The plan's cached map answers for the plan's own role
-                # array; a caller whose ids diverged from it would
-                # silently receive rows for the wrong entities.
-                raise ValueError(
-                    f"gather ids ({n} rows) do not match the plan's "
-                    f"{role!r} array ({smap.n_rows} rows) — pass plan=None to "
-                    "gather an ad-hoc id set"
-                )
-
         # Fast path: sorted ids under range partitioning (every planned
-        # role array — plan entities come out of np.unique).  Shard
-        # boundaries fall out of one searchsorted against the partition
-        # starts; ids ship globally (workers subtract their own base),
-        # so the parent does no argsort, no local-id translation and no
-        # reassembly — the parent-side work reduction that lets the
-        # cross-process store beat the in-process layout per gather
-        # despite the IPC round-trip.
-        fast = (
-            smap is None
-            and self.partition == "range"
-            and (n < 2 or bool((idx[:-1] <= idx[1:]).all()))
+        # unique-entity array — plan entities come out of np.unique).
+        # Shard boundaries fall out of one searchsorted against the
+        # partition starts; ids ship globally (workers subtract their
+        # own base), so the parent does no argsort, no local-id
+        # translation and no reassembly.  Everything else is grouped by
+        # a freshly built shard map.
+        fast = self.partition == "range" and (
+            n < 2 or bool((idx[:-1] <= idx[1:]).all())
         )
         if fast:
-            if n and (idx[0] < 0 or idx[-1] >= self.num_rows):
-                raise ValueError(
-                    f"ids must lie in [0, {self.num_rows}), got range "
-                    f"[{int(idx[0])}, {int(idx[-1])}]"
-                )
             bounds = np.searchsorted(idx, self._starts)
             pieces = [
                 (k, int(bounds[k]), int(bounds[k + 1]))
@@ -1105,8 +1093,7 @@ class ProcessShardedStore(EmbeddingStore):
             ]
             identity, inverse = True, None
         else:
-            if smap is None:
-                smap = self.partitioner.build_map(idx)
+            smap = self.partitioner.build_map(idx)
             offsets = np.concatenate(
                 [[0], np.cumsum([len(local) for local in smap.per_shard_local])]
             )
@@ -1155,8 +1142,8 @@ class ProcessShardedStore(EmbeddingStore):
         # Training path: a private row copy (autograd graphs outlive the
         # recycled arena) and a backward that ships each shard's
         # gradient slice through the arena for the worker-side
-        # scatter-add — the same split/scatter arithmetic as the
-        # in-process adjoint.
+        # scatter-add — per row, the same arithmetic as the dense
+        # adjoint.
         store = self
         dtype = self._dtype
 
@@ -1191,8 +1178,8 @@ class ProcessShardedStore(EmbeddingStore):
             self._transact(msgs)
 
     def _accum_empty(self) -> None:
-        """Zero-row gradient parity: the in-process store's empty gather
-        still materialises a zero gradient on shard 0."""
+        """Zero-row gradient parity: a dense store's empty gather still
+        materialises a zero gradient, here on shard 0."""
         self._check_open()
         with self._io_lock:
             offset = self._alloc(0)
@@ -1231,9 +1218,9 @@ class ProcessShardedStore(EmbeddingStore):
         """The logical table as one differentiable tensor (encoder path).
 
         The forward streams the table into a parent-side array; the
-        backward hands each worker its contiguous full-shard gradient
-        slice — the exact concat-split adjoint of the in-process layout
-        (plus the unpermute scatter for hash partitioning).
+        backward hands each worker its contiguous slice of the dense
+        table gradient (after the unpermute scatter for hash
+        partitioning).
         """
         self._check_open()
         if is_grad_enabled() and self.quantize:
@@ -1297,7 +1284,7 @@ class ProcessShardedStore(EmbeddingStore):
         never exceeds the transient chunk bound in any process.
         """
         self._check_open()
-        idx = np.asarray(ids, dtype=np.int64)
+        idx = self._check_ids(ids)
         values = np.asarray(values)
         if len(idx) > self.io_chunk:
             for start in range(0, len(idx), self.io_chunk):

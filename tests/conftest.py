@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import MGBR, MGBRConfig
 from repro.data import GroupBuyingDataset, DealGroup, SyntheticConfig, generate_dataset
+from repro.store import EmbeddingStore, ProcessShardedStore, iter_stores
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +59,23 @@ def handmade_groups():
 def rng() -> np.random.Generator:
     """Fresh deterministic RNG per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def reap():
+    """Register a model or store; its shard worker processes are closed
+    at teardown.  ``reap(obj)`` returns ``obj`` for inline use."""
+    owned = []
+
+    def register(obj):
+        owned.append(obj)
+        return obj
+
+    yield register
+    for obj in owned:
+        stores = [obj] if isinstance(obj, EmbeddingStore) else [s for _, s in iter_stores(obj)]
+        for store in stores:
+            while isinstance(getattr(store, "inner", None), EmbeddingStore):
+                store = store.inner
+            if isinstance(store, ProcessShardedStore):
+                store.close()

@@ -72,7 +72,8 @@ class TestResolveExecutor:
 # ----------------------------------------------------------------------
 def _mgbr(dataset, shards=0, seed=3):
     config = MGBRConfig.small(
-        d=8, n_experts=2, mtl_layers=2, embedding_shards=shards
+        d=8, n_experts=2, mtl_layers=2, embedding_shards=shards,
+        embedding_service=shards > 0,
     )
     return MGBR(dataset.train, dataset.n_users, dataset.n_items,
                 config=config, seed=seed)
@@ -80,7 +81,7 @@ def _mgbr(dataset, shards=0, seed=3):
 
 def _gbmf(dataset, shards=0, seed=3):
     return GBMF(dataset.n_users, dataset.n_items, dim=8, seed=seed,
-                n_shards=shards)
+                n_shards=shards, service=shards > 0)
 
 
 def _plans(rng, dataset):
@@ -118,8 +119,8 @@ def _both_executors(model, plan, task):
 class TestBitParity:
     @pytest.mark.parametrize("shards", [0, 2])
     @pytest.mark.parametrize("task", ["items", "participants"])
-    def test_mgbr_plan_parity(self, tiny_dataset, rng, shards, task):
-        model = _mgbr(tiny_dataset, shards=shards)
+    def test_mgbr_plan_parity(self, tiny_dataset, rng, reap, shards, task):
+        model = reap(_mgbr(tiny_dataset, shards=shards))
         plan_items, plan_triples = _plans(rng, tiny_dataset)
         plan = plan_items if task == "items" else plan_triples
         fused, tape = _both_executors(model, plan, task)
@@ -130,8 +131,8 @@ class TestBitParity:
 
     @pytest.mark.parametrize("shards", [0, 3])
     @pytest.mark.parametrize("task", ["items", "participants"])
-    def test_gbmf_plan_parity(self, tiny_dataset, rng, shards, task):
-        model = _gbmf(tiny_dataset, shards=shards)
+    def test_gbmf_plan_parity(self, tiny_dataset, rng, reap, shards, task):
+        model = reap(_gbmf(tiny_dataset, shards=shards))
         plan_items, plan_triples = _plans(rng, tiny_dataset)
         plan = plan_items if task == "items" else plan_triples
         fused, tape = _both_executors(model, plan, task)

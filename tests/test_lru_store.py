@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines import GBMF
 from repro.nn.tensor import dtype_scope, no_grad
-from repro.store import DenseStore, LRUCachedStore, ShardedStore, cache_hot_rows
+from repro.store import DenseStore, LRUCachedStore, ProcessShardedStore, cache_hot_rows
 
 
 @pytest.fixture()
@@ -17,7 +17,8 @@ def table(rng):
 
 @pytest.fixture()
 def cached(table):
-    return LRUCachedStore(ShardedStore(table, 4), capacity=32)
+    with ProcessShardedStore(table, 4) as inner:
+        yield LRUCachedStore(inner, capacity=32)
 
 
 class TestConstruction:
@@ -90,7 +91,8 @@ class TestGatherSemantics:
             cached.load_logical(table * 2.0)
             np.testing.assert_array_equal(cached.gather([5]).data, table[[5]] * 2.0)
 
-    def test_optimizer_style_version_bump_invalidates(self, table, cached):
+    def test_optimizer_style_version_bump_invalidates(self, table):
+        cached = LRUCachedStore(DenseStore(table.copy()), capacity=32)
         with no_grad():
             before = cached.gather([7]).data.copy()
             # An in-place weight update (what Adam.step does) bumps the
@@ -114,7 +116,7 @@ class TestGatherSemantics:
 class TestAccounting:
     def test_zipf_stream_hit_and_eviction_accounting(self, table, rng):
         """Exact counter algebra under a skewed id stream."""
-        store = LRUCachedStore(ShardedStore(table, 4), capacity=24)
+        store = LRUCachedStore(DenseStore(table), capacity=24)
         expected_lookups = 0
         with no_grad():
             for _ in range(80):
@@ -131,8 +133,8 @@ class TestAccounting:
         hit_rate = snap["cache_hits"] / expected_lookups
         assert hit_rate > 0.3, f"Zipf stream should hit the cache, got {hit_rate:.3f}"
 
-    def test_concurrent_readers_keep_counters_consistent(self, table):
-        store = LRUCachedStore(ShardedStore(table, 2), capacity=16)
+    def test_concurrent_readers_keep_counters_consistent(self, table, reap):
+        store = LRUCachedStore(reap(ProcessShardedStore(table, 2)), capacity=16)
         per_thread, n_threads = 40, 4
         lookups = [0] * n_threads
         errors = []
@@ -163,9 +165,9 @@ class TestAccounting:
 
 
 class TestModelIntegration:
-    def test_cache_hot_rows_wraps_and_is_idempotent(self, tiny_dataset):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=2,
-                     n_shards=2)
+    def test_cache_hot_rows_wraps_and_is_idempotent(self, reap, tiny_dataset):
+        model = reap(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=2,
+                          n_shards=2, service=True))
         wrapped = cache_hot_rows(model, 16)
         assert set(wrapped) == {"initiator_table", "participant_table", "item_table"}
         assert cache_hot_rows(model, 16) == {}  # second pass wraps nothing
@@ -174,11 +176,11 @@ class TestModelIntegration:
             for store in model.embedding_stores().values()
         )
 
-    def test_cached_model_scores_match_uncached(self, tiny_dataset):
-        plain = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=6,
-                     n_shards=2)
-        cached = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=6,
-                      n_shards=2)
+    def test_cached_model_scores_match_uncached(self, reap, tiny_dataset):
+        plain = reap(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=6,
+                          n_shards=2, service=True))
+        cached = reap(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=6,
+                           n_shards=2, service=True))
         cache_hot_rows(cached, 8)  # tiny capacity -> constant eviction churn
         users = np.array([0, 1, 2, 0])
         cands = np.array([[0, 1, 2], [3, 4, 0], [1, 1, 5], [0, 1, 2]])
@@ -187,9 +189,9 @@ class TestModelIntegration:
             cached.score_items_matrix(users, cands),
         )
 
-    def test_checkpoint_state_unchanged_by_wrapping(self, tiny_dataset):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=8,
-                     n_shards=2)
+    def test_checkpoint_state_unchanged_by_wrapping(self, reap, tiny_dataset):
+        model = reap(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=8,
+                          n_shards=2, service=True))
         state_before = model.state_dict()
         cache_hot_rows(model, 16)
         state_after = model.state_dict()

@@ -35,7 +35,6 @@ from repro.store import (
     LRUCachedStore,
     ProcessShardedStore,
     QuantizedStore,
-    ShardedStore,
     iter_stores,
     make_store,
     quant_bytes_per_row,
@@ -221,10 +220,11 @@ class TestQuantizedStore:
 
     def test_checkpoint_state_is_canonical_float(self):
         values = _table()
-        qs = QuantizedStore(ShardedStore(values.copy(), 3), "int8")
-        np.testing.assert_array_equal(qs.logical_state(), values)
-        ids0, rows0 = qs.shard_rows(0)
-        np.testing.assert_array_equal(rows0, values[ids0])
+        with ProcessShardedStore(values.copy(), 3) as inner:
+            qs = QuantizedStore(inner, "int8")
+            np.testing.assert_array_equal(qs.logical_state(), values)
+            ids0, rows0 = qs.shard_rows(0)
+            np.testing.assert_array_equal(rows0, values[ids0])
 
     def test_stats_report_tier_bytes(self):
         values = _table(rows=50, dim=64)
@@ -246,17 +246,16 @@ class TestThreadThrough:
         dense = make_store(_table(), quantize="fp16")
         assert isinstance(dense, QuantizedStore)
         assert isinstance(dense.inner, DenseStore)
-        sharded = make_store(_table(), n_shards=3, quantize="int8")
-        assert isinstance(sharded, QuantizedStore)
-        assert isinstance(sharded.inner, ShardedStore)
-        assert sharded.n_shards == 3
+        with make_store(_table(), n_shards=3, service=True, quantize="int8") as sharded:
+            assert isinstance(sharded, ProcessShardedStore)  # worker-side codes
+            assert sharded.quantize == "int8" and sharded.n_shards == 3
         plain = make_store(_table())
         assert isinstance(plain, DenseStore)  # quantize=None: no wrapper
 
     def test_env_default_applies_to_in_process_layouts(self, monkeypatch):
         monkeypatch.setenv("REPRO_QUANTIZE", "int8")
         assert isinstance(make_store(_table()), QuantizedStore)
-        assert isinstance(make_store(_table(), n_shards=2), QuantizedStore)
+        assert isinstance(make_store(_table(), n_shards=1), QuantizedStore)
         # Explicit opt-out pins the float baseline under the env default.
         assert isinstance(make_store(_table(), quantize="none"), DenseStore)
         monkeypatch.setenv("REPRO_QUANTIZE", "bogus")
@@ -368,10 +367,10 @@ class TestLRUStacking:
         plan = ScoringPlan.from_item_pairs(users, items)
         store = model.initiator_table.store
         with no_grad():
-            store.gather(plan.unique_users, plan=plan, role="users")  # warm
+            store.gather(plan.unique_users)  # warm
             counting = CountingBackend()
             with backend_scope(counting):
-                store.gather(plan.unique_users, plan=plan, role="users")
+                store.gather(plan.unique_users)
             assert counting.copies == 0
 
     def test_eviction_accounting_under_quantised_payloads(self):
@@ -394,11 +393,9 @@ class TestLayoutParity:
         values = _table(rows=53, dim=24, seed=11)
         ids = np.random.default_rng(1).integers(0, 53, size=64)
         dense = make_store(values.copy(), quantize=mode)
-        sharded = make_store(values.copy(), n_shards=3, quantize=mode)
         lru = LRUCachedStore(make_store(values.copy(), quantize=mode), capacity=64)
         with no_grad():
             want = dense.gather(ids).data
-            np.testing.assert_array_equal(sharded.gather(ids).data, want)
             np.testing.assert_array_equal(lru.gather(ids).data, want)
             np.testing.assert_array_equal(lru.gather(ids).data, want)  # warm
         with make_store(values.copy(), n_shards=2, service=True,
@@ -406,7 +403,7 @@ class TestLayoutParity:
             with no_grad():
                 got = service.gather(ids).data
             # The service arena is float64 (the store dtype); the codec
-            # output matches the in-process tier bit for bit.
+            # output matches the dense tier bit for bit.
             np.testing.assert_array_equal(got, want)
 
 
@@ -494,9 +491,13 @@ class TestServiceQuantisation:
 # Checkpoints through wrapper tiers
 # ---------------------------------------------------------------------------
 class TestCheckpoints:
-    def test_shard_files_written_through_wrapper_tiers(self, tiny_dataset, tmp_path):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
-                     seed=4, n_shards=3, quantize="int8")
+    def test_shard_files_written_through_wrapper_tiers(
+        self, reap, tiny_dataset, tmp_path
+    ):
+        model = reap(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
+                          seed=4, n_shards=3, service=True))
+        for table in (model.initiator_table, model.participant_table, model.item_table):
+            table.store = QuantizedStore(table.store, "int8")
         from repro.store.lru import cache_hot_rows
         cache_hot_rows(model, capacity=16)
         path = save_checkpoint(model, tmp_path / "wrapped.npz", shard_files=True)
@@ -531,8 +532,6 @@ class TestResidentBytes:
         assert DenseStore(values.copy()).stats_snapshot()["resident_bytes"] == (
             20 * 16 * 8
         )
-        assert ShardedStore(values.copy(), 3).stats_snapshot()[
-            "resident_bytes"] == 20 * 16 * 8
         lru = LRUCachedStore(DenseStore(values.copy()), 8)
         assert lru.stats_snapshot()["resident_bytes"] == 0  # empty cache
         with ProcessShardedStore(values.copy(), 2) as ps:

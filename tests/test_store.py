@@ -1,12 +1,13 @@
-"""Sharded embedding store: layout parity, checkpoints, sparse updates.
+"""Embedding store layouts: parity, checkpoints, sparse updates.
 
 The contract under test (docs/sharding.md): *storage layout is
 unobservable* — a model whose tables live in a
-:class:`repro.store.ShardedStore` (any shard count, range or hash
-partition) produces bit-identical scores, losses, gradients and trained
-weights to the dense single-table layout at float64, and checkpoints
-move freely between layouts (dense ↔ N shards ↔ M shards, single-file
-or per-shard files).
+:class:`repro.store.ProcessShardedStore` (any shard count, range or
+hash partition) produces bit-identical scores, losses, gradients and
+trained weights to the dense single-table layout at float64, and
+checkpoints move freely between layouts (dense ↔ N shards ↔ M shards,
+single-file or per-shard files).  Process-store specifics (arena
+recycling, fault isolation, lifecycle) live in test_store_service.py.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from repro.baselines import GBMF
 from repro.core import MGBR, MGBRConfig
 from repro.eval.protocol import EvalProtocol
 from repro.nn.layers import Embedding
-from repro.nn.optim import Adam
+from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import no_grad
-from repro.plan import PlannedBatch, ScoringPlan
 from repro.serving import RequestBatcher
 from repro.store import (
     DenseStore,
+    LRUCachedStore,
     Partitioner,
-    ShardedStore,
+    ProcessShardedStore,
     iter_stores,
     make_store,
 )
@@ -35,6 +36,13 @@ from repro.training.checkpoint import load_checkpoint, restore_model, save_check
 
 def _table(rows=23, dim=5, seed=0):
     return np.random.default_rng(seed).normal(size=(rows, dim))
+
+
+@pytest.fixture(autouse=True)
+def _float_layouts(monkeypatch):
+    """Pin float tables: the ``REPRO_QUANTIZE`` default quantises only the
+    dense side of a parity pair (service stores ignore it)."""
+    monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +76,7 @@ class TestPartitioner:
             grouped_logical.extend((part.owned_ids(k)[local]).tolist())
         # Reassembling with the inverse permutation restores request order.
         np.testing.assert_array_equal(np.asarray(grouped_logical)[smap.inverse], ids)
-        assert smap.shards_touched == 3
-        assert smap.max_shard_rows == max(len(l) for l in smap.per_shard_local)
+        assert all(len(local) for local in smap.per_shard_local)  # 3 shards touched
 
     def test_sorted_unique_ids_are_identity_under_range(self):
         part = Partitioner(50, 4, "range")
@@ -96,10 +103,10 @@ class TestPartitioner:
 class TestStoreParity:
     @pytest.mark.parametrize("kind", ["range", "hash"])
     @pytest.mark.parametrize("n_shards", [2, 3, 5, 40])
-    def test_gather_values_bitwise_equal_dense(self, kind, n_shards):
+    def test_gather_values_bitwise_equal_dense(self, reap, kind, n_shards):
         values = _table()
         dense = DenseStore(values.copy())
-        sharded = ShardedStore(values.copy(), n_shards, kind)
+        sharded = reap(ProcessShardedStore(values.copy(), n_shards, kind))
         ids = np.array([0, 7, 7, 22, 3, 7, 11])  # duplicates included
         with no_grad():
             np.testing.assert_array_equal(
@@ -108,39 +115,37 @@ class TestStoreParity:
             np.testing.assert_array_equal(sharded.all().data, dense.all().data)
         assert sharded.logical_state().tolist() == values.tolist()
 
-    def test_empty_gather(self):
-        sharded = ShardedStore(_table(), 3)
+    def test_empty_gather(self, reap):
+        sharded = reap(ProcessShardedStore(_table(), 3))
         with no_grad():
             out = sharded.gather(np.empty(0, dtype=np.int64))
         assert out.shape == (0, 5)
 
     @pytest.mark.parametrize("kind", ["range", "hash"])
-    def test_gather_gradients_bitwise_equal_dense(self, kind):
+    def test_gather_gradients_bitwise_equal_dense(self, reap, kind):
+        """Unsorted ids with duplicates: one SGD step from each layout's
+        accumulated gradient leaves bit-identical tables."""
         values = _table(rows=31, dim=4, seed=3)
-        dense = DenseStore(values.copy())
-        sharded = ShardedStore(values.copy(), 4, kind)
         ids = np.random.default_rng(7).integers(0, 31, size=600)
         grad = np.random.default_rng(8).normal(size=(600, 4))
-
-        (dense.gather(ids) * grad).sum().backward()
-        (sharded.gather(ids) * grad).sum().backward()
-        np.testing.assert_array_equal(
-            dense.weight.grad,
-            _logical_grad(sharded),
-        )
+        dense = DenseStore(values.copy())
+        sharded = reap(ProcessShardedStore(values.copy(), 4, kind))
+        for store in (dense, sharded):
+            (store.gather(ids) * grad).sum().backward()
+        np.testing.assert_array_equal(_sgd_state(dense), _sgd_state(sharded))
 
     @pytest.mark.parametrize("kind", ["range", "hash"])
-    def test_all_gradients_bitwise_equal_dense(self, kind):
+    def test_all_gradients_bitwise_equal_dense(self, reap, kind):
         values = _table(rows=11, dim=3, seed=5)
-        dense = DenseStore(values.copy())
-        sharded = ShardedStore(values.copy(), 3, kind)
         grad = np.random.default_rng(9).normal(size=(11, 3))
-        (dense.all() * grad).sum().backward()
-        (sharded.all() * grad).sum().backward()
-        np.testing.assert_array_equal(dense.weight.grad, _logical_grad(sharded))
+        dense = DenseStore(values.copy())
+        sharded = reap(ProcessShardedStore(values.copy(), 3, kind))
+        for store in (dense, sharded):
+            (store.all() * grad).sum().backward()
+        np.testing.assert_array_equal(_sgd_state(dense), _sgd_state(sharded))
 
-    def test_touched_rows_recorded_per_shard(self):
-        sharded = ShardedStore(_table(rows=12, dim=2), 3)  # 4 rows per shard
+    def test_touched_rows_recorded_per_shard(self, reap):
+        sharded = reap(ProcessShardedStore(_table(rows=12, dim=2), 3))  # 4 rows per shard
         sharded.gather(np.array([0, 1, 5, 5]))
         touched = {
             k: p.touched_rows for k, (_, p) in enumerate(sharded.named_parameters())
@@ -149,14 +154,14 @@ class TestStoreParity:
         np.testing.assert_array_equal(touched[1], [1])      # row 5 local 1 in shard 1
         assert touched[2] is None
 
-    def test_touched_rows_not_recorded_under_no_grad(self):
-        sharded = ShardedStore(_table(), 2)
+    def test_touched_rows_not_recorded_under_no_grad(self, reap):
+        sharded = reap(ProcessShardedStore(_table(), 2))
         with no_grad():
             sharded.gather(np.array([1, 2]))
         assert all(p.touched_rows is None for _, p in sharded.named_parameters())
 
-    def test_stats_counters(self):
-        sharded = ShardedStore(_table(rows=20, dim=2), 4)
+    def test_stats_counters(self, reap):
+        sharded = reap(ProcessShardedStore(_table(rows=20, dim=2), 4))
         with no_grad():
             sharded.gather(np.array([0, 6, 19]))
         assert sharded.stats["gathers"] == 1
@@ -165,54 +170,79 @@ class TestStoreParity:
         assert sharded.stats["max_shard_gather_rows"] == 1
         assert sharded.resident_rows() == [5, 5, 5, 5]
 
-    def test_make_store_layouts(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # default layouts
+    def test_make_store_layouts(self):
         assert isinstance(make_store(_table(), 0), DenseStore)
         assert isinstance(make_store(_table(), 1), DenseStore)
-        assert isinstance(make_store(_table(), 2), ShardedStore)
+        # Shards run in worker processes only, and only on request.
+        with pytest.raises(ValueError, match="service=True"):
+            make_store(_table(), 2)
         with pytest.raises(ValueError, match="n_shards"):
             make_store(_table(), -1)
 
 
-def _logical_grad(store: ShardedStore) -> np.ndarray:
-    out = np.zeros((store.num_rows, store.dim))
-    for k, (_, p) in enumerate(store.named_parameters()):
-        out[store.partitioner.owned_ids(k)] = (
-            p.grad if p.grad is not None else np.zeros_like(p.data)
-        )
-    return out
+#: Every ``make_store`` layout over one 20-row table.
+_LAYOUTS = {
+    "dense": lambda v: make_store(v, quantize="none"),
+    "int8": lambda v: make_store(v, quantize="int8"),
+    "fp16": lambda v: make_store(v, quantize="fp16"),
+    "lru": lambda v: LRUCachedStore(make_store(v, quantize="none"), capacity=8),
+    "process": lambda v: make_store(v, 2, service=True),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("bad", [-1, 20])
+def test_out_of_range_ids_raise_on_every_layout(reap, layout, bad):
+    """No layout wraps id -1 to the last row or leaks an IndexError."""
+    store = reap(_LAYOUTS[layout](_table(rows=20, dim=3)))
+    ids = np.array([0, bad])
+    with pytest.raises(ValueError, match=r"ids must lie in \[0, 20\)"):
+        with no_grad():
+            store.gather(ids)
+    with pytest.raises(ValueError, match=r"ids must lie in \[0, 20\)"):
+        store.gather(ids)  # grad-enabled reads bypass the wrapper tiers
+    with pytest.raises(ValueError, match=r"ids must lie in \[0, 20\)"):
+        store.assign_rows(ids, np.zeros((2, 3)))
+
+
+def _sgd_state(store) -> np.ndarray:
+    """The table after one plain SGD step on the accumulated gradient —
+    equal across layouts iff the per-row gradients are."""
+    SGD([p for _, p in store.named_parameters()], lr=0.5).step()
+    return store.logical_state()
 
 
 # ---------------------------------------------------------------------------
 # Embedding layer over stores
 # ---------------------------------------------------------------------------
 class TestEmbeddingDelegation:
-    def test_dense_default_keeps_weight_identity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # weight identity
+    def test_dense_default_keeps_weight_identity(self):
         emb = Embedding(6, 3, seed=0)
         assert emb.all() is emb.weight
         assert isinstance(emb.store, DenseStore)
         assert list(emb.state_dict()) == ["weight"]
 
-    def test_sharded_forward_matches_dense(self):
+    def test_sharded_forward_matches_dense(self, reap):
         dense = Embedding(9, 4, seed=1)
-        sharded = Embedding(9, 4, seed=1, n_shards=3)
+        sharded = reap(Embedding(9, 4, seed=1, n_shards=3, service=True))
         idx = np.array([8, 0, 3, 3])
         with no_grad():
             np.testing.assert_array_equal(dense(idx).data, sharded(idx).data)
 
-    def test_sharded_registers_shard_parameters(self):
-        emb = Embedding(9, 4, seed=1, n_shards=3)
+    def test_sharded_registers_shard_parameters(self, reap):
+        emb = reap(Embedding(9, 4, seed=1, n_shards=3, service=True))
         names = [name for name, _ in emb.named_parameters()]
         assert names == ["shard0", "shard1", "shard2"]
         # ... but the canonical checkpoint entry stays the logical table.
         state = emb.state_dict()
         assert list(state) == ["weight"] and state["weight"].shape == (9, 4)
 
-    def test_state_roundtrip_across_layouts(self):
-        src = Embedding(9, 4, seed=1, n_shards=3)
+    def test_state_roundtrip_across_layouts(self, reap):
+        src = reap(Embedding(9, 4, seed=1, n_shards=3, service=True))
         dst_dense = Embedding(9, 4, seed=2)
-        dst_hash = Embedding(9, 4, seed=3, n_shards=2, partition="hash")
+        dst_hash = reap(
+            Embedding(9, 4, seed=3, n_shards=2, partition="hash", service=True)
+        )
         dst_dense.load_state_dict(src.state_dict())
         dst_hash.load_state_dict(src.state_dict())
         np.testing.assert_array_equal(
@@ -222,10 +252,18 @@ class TestEmbeddingDelegation:
             dst_hash.store.logical_state(), src.store.logical_state()
         )
 
-    def test_dtype_rebind_applies_to_every_shard(self):
-        emb = Embedding(9, 4, seed=1, n_shards=3)
+    def test_dtype_rebind_applies_to_every_shard(self, reap):
+        emb = reap(Embedding(9, 4, seed=1, n_shards=3, service=True))
         emb.load_state_dict(emb.state_dict(), dtype=np.float32)
-        assert all(p.data.dtype == np.float32 for _, p in emb.named_parameters())
+        assert all(
+            emb.store.shard_rows(k)[1].dtype == np.float32 for k in range(3)
+        )
+
+    def test_sharding_needs_service(self):
+        with pytest.raises(ValueError, match="service=True"):
+            Embedding(9, 4, seed=1, n_shards=3)
+        with pytest.raises(ValueError, match="embedding_service=True"):
+            MGBRConfig.small(embedding_shards=2)
 
     def test_store_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="store holds"):
@@ -233,60 +271,13 @@ class TestEmbeddingDelegation:
 
 
 # ---------------------------------------------------------------------------
-# Plan-driven shard maps
-# ---------------------------------------------------------------------------
-class TestPlanShardMaps:
-    def test_shard_map_cached_per_partitioner(self):
-        plan = ScoringPlan.for_items(np.array([1, 2]), np.array([[3, 4], [3, 5]]))
-        part = Partitioner(10, 2)
-        first = plan.shard_map("users", part)
-        assert plan.shard_map("users", part) is first
-        # A different layout gets its own map.
-        other = plan.shard_map("users", Partitioner(10, 3))
-        assert other is not first
-
-    def test_shard_map_roles(self):
-        plan = ScoringPlan.from_triples(
-            np.array([1, 1, 2]), np.array([0, 0, 1]), np.array([4, 4, 5])
-        )
-        part = Partitioner(10, 2)
-        assert plan.shard_map("participants", part).n_rows == len(
-            plan.unique_participants
-        )
-        assert plan.shard_map("pair_users", part).n_rows == plan.n_pairs
-        with pytest.raises(ValueError, match="unknown shard-map role"):
-            plan.shard_map("nope", part)
-
-    def test_pair_plan_has_no_participants_role(self):
-        plan = ScoringPlan.from_item_pairs(np.array([1]), np.array([2]))
-        with pytest.raises(ValueError, match="empty on a pair plan"):
-            plan.shard_map("participants", Partitioner(10, 2))
-
-    def test_gather_rejects_ids_diverging_from_plan_role(self):
-        """A plan-cached shard map only answers for the plan's own ids."""
-        store = ShardedStore(_table(rows=10, dim=2), 2)
-        plan = ScoringPlan.from_item_pairs(np.array([1, 2, 3]), np.array([0, 0, 0]))
-        with no_grad():
-            ok = store.gather(plan.unique_users, plan=plan, role="users")
-            assert ok.shape == (3, 2)
-            with pytest.raises(ValueError, match="do not match the plan"):
-                store.gather(np.array([1, 2]), plan=plan, role="users")
-
-    def test_planned_batch_delegates(self):
-        batch = PlannedBatch.build(
-            {"pos": (np.array([1, 2]), np.array([3, 4]), None, (2,))}
-        )
-        part = Partitioner(10, 2)
-        assert batch.shard_map("users", part) is batch.plan.shard_map("users", part)
-
-
-# ---------------------------------------------------------------------------
 # Model-level layout parity (the acceptance criterion)
 # ---------------------------------------------------------------------------
 def _gbmf(tiny_dataset, n_shards=0, partition="range"):
+    """GBMF over dense tables (``n_shards=0``) or ``n_shards`` workers."""
     return GBMF(
         tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4,
-        n_shards=n_shards, partition=partition,
+        n_shards=n_shards, partition=partition, service=n_shards > 0,
     )
 
 
@@ -294,6 +285,7 @@ def _mgbr(tiny_dataset, n_shards=0, partition="range"):
     config = MGBRConfig.small(
         d=8, n_experts=2, mtl_layers=2, aux_negatives=4, train_negatives=3, seed=3,
         embedding_shards=n_shards, embedding_partition=partition,
+        embedding_service=n_shards > 0,
     )
     return MGBR(
         tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items, config=config
@@ -302,24 +294,25 @@ def _mgbr(tiny_dataset, n_shards=0, partition="range"):
 
 class TestLayoutParity:
     @pytest.mark.parametrize("partition", ["range", "hash"])
-    def test_gbmf_eval_metrics_bit_identical(self, tiny_dataset, partition):
+    def test_gbmf_eval_metrics_bit_identical(self, reap, tiny_dataset, partition):
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=40)
         dense = protocol.run(_gbmf(tiny_dataset)).flat()
-        sharded = protocol.run(_gbmf(tiny_dataset, 3, partition)).flat()
+        sharded = protocol.run(reap(_gbmf(tiny_dataset, 3, partition))).flat()
         assert dense == sharded
 
     @pytest.mark.parametrize("partition", ["range", "hash"])
-    def test_mgbr_eval_metrics_bit_identical(self, tiny_dataset, partition):
+    def test_mgbr_eval_metrics_bit_identical(self, reap, tiny_dataset, partition):
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=30)
         dense = protocol.run(_mgbr(tiny_dataset)).flat()
-        sharded = protocol.run(_mgbr(tiny_dataset, 3, partition)).flat()
+        sharded = protocol.run(reap(_mgbr(tiny_dataset, 3, partition))).flat()
         assert dense == sharded
 
     @pytest.mark.parametrize("build", [_gbmf, _mgbr], ids=["gbmf", "mgbr"])
-    def test_planned_training_bit_identical(self, tiny_dataset, build):
-        """Two epochs of the (auto-routed) step: losses AND weights match."""
+    def test_planned_training_bit_identical(self, reap, tiny_dataset, build):
+        """Two epochs of the (auto-routed) step: losses AND weights match
+        under hash partitioning (test_store_service.py runs range)."""
         def run(n_shards):
-            model = build(tiny_dataset, n_shards)
+            model = reap(build(tiny_dataset, n_shards, "hash"))
             trainer = Trainer(
                 model, tiny_dataset,
                 TrainConfig(
@@ -337,9 +330,9 @@ class TestLayoutParity:
         for key in dense_state:
             np.testing.assert_array_equal(dense_state[key], shard_state[key])
 
-    def test_sharded_gbmf_never_materialises_tables(self, tiny_dataset):
+    def test_sharded_gbmf_never_materialises_tables(self, reap, tiny_dataset):
         """Planned scoring touches each shard once and only gathers rows."""
-        model = _gbmf(tiny_dataset, n_shards=4)
+        model = reap(_gbmf(tiny_dataset, n_shards=4))
         users = np.arange(10)
         cands = np.tile(np.arange(8), (10, 1))
         with no_grad():
@@ -353,8 +346,8 @@ class TestLayoutParity:
         assert store.stats["shard_touches"] <= store.stats["gathers"] * store.n_shards
         assert store.stats["max_gather_rows"] <= len(users) * cands.shape[1]
 
-    def test_entity_embeddings_with_stores(self, tiny_dataset):
-        model = _gbmf(tiny_dataset, n_shards=3)
+    def test_entity_embeddings_with_stores(self, reap, tiny_dataset):
+        model = reap(_gbmf(tiny_dataset, n_shards=3))
         tables = model.entity_embeddings()
         assert tables["initiator"].shape == (tiny_dataset.n_users, 8)
 
@@ -372,11 +365,11 @@ class TestShardCheckpoints:
 
     @pytest.mark.parametrize("src_shards,dst_shards", [(0, 3), (3, 0), (4, 2), (3, 3)])
     def test_single_file_roundtrip_across_layouts(
-        self, tiny_dataset, tmp_path, src_shards, dst_shards
+        self, reap, tiny_dataset, tmp_path, src_shards, dst_shards
     ):
         """Save with N shards, restore with M — scores bit-identical."""
-        src = _gbmf(tiny_dataset, src_shards)
-        dst = _gbmf(tiny_dataset, dst_shards)
+        src = reap(_gbmf(tiny_dataset, src_shards))
+        dst = reap(_gbmf(tiny_dataset, dst_shards))
         # Make dst's weights genuinely different before the restore.
         dst.item_table.store.load_logical(
             dst.item_table.store.logical_state() + 1.0
@@ -391,8 +384,8 @@ class TestShardCheckpoints:
         )
 
     @pytest.mark.parametrize("dst_shards", [0, 2, 5])
-    def test_per_shard_files_roundtrip(self, tiny_dataset, tmp_path, dst_shards):
-        src = _gbmf(tiny_dataset, n_shards=3)
+    def test_per_shard_files_roundtrip(self, reap, tiny_dataset, tmp_path, dst_shards):
+        src = reap(_gbmf(tiny_dataset, n_shards=3))
         path = save_checkpoint(src, tmp_path / "model.npz", shard_files=True)
         # The sharded tables left the main archive into per-shard files.
         payload = load_checkpoint(path, assemble_shards=False)
@@ -409,7 +402,7 @@ class TestShardCheckpoints:
             src.initiator_table.store.logical_state(),
         )
         # …while restore_model streams the shard files into any layout.
-        dst = _gbmf(tiny_dataset, n_shards=dst_shards)
+        dst = reap(_gbmf(tiny_dataset, n_shards=dst_shards))
         dst.initiator_table.store.load_logical(
             dst.initiator_table.store.logical_state() * 2.0
         )
@@ -420,37 +413,37 @@ class TestShardCheckpoints:
             self._scores(src, users, items), self._scores(dst, users, items)
         )
 
-    def test_per_shard_files_float32_restore(self, tiny_dataset, tmp_path):
-        src = _gbmf(tiny_dataset, n_shards=3)
+    def test_per_shard_files_float32_restore(self, reap, tiny_dataset, tmp_path):
+        src = reap(_gbmf(tiny_dataset, n_shards=3))
         path = save_checkpoint(
             src, tmp_path / "m32.npz", dtype="float32", shard_files=True
         )
-        dst = _gbmf(tiny_dataset, n_shards=2)
+        dst = reap(_gbmf(tiny_dataset, n_shards=2))
         restore_model(dst, path, dtype="float32")
         for _, store in iter_stores(dst):
-            for _, param in store.named_parameters():
-                assert param.data.dtype == np.float32
+            for k in range(store.n_shards):
+                assert store.shard_rows(k)[1].dtype == np.float32
 
     def test_shard_files_save_never_materialises_tables(
-        self, tiny_dataset, tmp_path, monkeypatch
+        self, reap, tiny_dataset, tmp_path, monkeypatch
     ):
         """The per-shard writer must stream shard buffers directly —
         building a logical table would defeat the memory model on a
         catalog that doesn't fit in RAM."""
-        src = _gbmf(tiny_dataset, n_shards=3)
+        src = reap(_gbmf(tiny_dataset, n_shards=3))
         calls = []
-        original = ShardedStore.logical_state
+        original = ProcessShardedStore.logical_state
         monkeypatch.setattr(
-            ShardedStore, "logical_state",
+            ProcessShardedStore, "logical_state",
             lambda self: (calls.append(1), original(self))[1],
         )
         save_checkpoint(src, tmp_path / "stream.npz", shard_files=True)
         assert not calls, "shard_files save materialised a logical table"
 
-    def test_fully_sharded_meta_reports_shard_dtype(self, tiny_dataset, tmp_path):
+    def test_fully_sharded_meta_reports_shard_dtype(self, reap, tiny_dataset, tmp_path):
         """GBMF is table-only: with shard_files=True the main payload is
         empty, and the recorded dtype must come from the shard buffers."""
-        src = _gbmf(tiny_dataset, n_shards=3)
+        src = reap(_gbmf(tiny_dataset, n_shards=3))
         for _, store in iter_stores(src):
             store.rebind_dtype(np.float32)
         path = save_checkpoint(src, tmp_path / "all32.npz", shard_files=True)
@@ -458,15 +451,15 @@ class TestShardCheckpoints:
         assert payload["meta"]["dtype"] == "float32"
         assert all(v.dtype == np.float32 for v in payload["state"].values())
 
-    def test_strict_restore_catches_missing_store(self, tiny_dataset, tmp_path):
-        src = _gbmf(tiny_dataset, n_shards=3)
+    def test_strict_restore_catches_missing_store(self, reap, tiny_dataset, tmp_path):
+        src = reap(_gbmf(tiny_dataset, n_shards=3))
         path = save_checkpoint(src, tmp_path / "model.npz", shard_files=True)
         wrong = GBMF(tiny_dataset.n_users + 1, tiny_dataset.n_items, dim=8, seed=4)
         with pytest.raises((KeyError, ValueError)):
             restore_model(wrong, path)
 
-    def test_mgbr_checkpoint_across_layouts(self, tiny_dataset, tmp_path):
-        src = _mgbr(tiny_dataset, n_shards=3)
+    def test_mgbr_checkpoint_across_layouts(self, reap, tiny_dataset, tmp_path):
+        src = reap(_mgbr(tiny_dataset, n_shards=3))
         path = save_checkpoint(src, tmp_path / "mgbr.npz", shard_files=True)
         dst = _mgbr(tiny_dataset, n_shards=0)
         restore_model(dst, path)
@@ -478,9 +471,9 @@ class TestShardCheckpoints:
 # Sparse (lazy-row) optimizer updates
 # ---------------------------------------------------------------------------
 class TestSparseUpdates:
-    def test_lazy_rows_touch_only_gathered_rows(self):
+    def test_lazy_rows_touch_only_gathered_rows(self, reap):
         values = _table(rows=16, dim=3, seed=2)
-        store = ShardedStore(values.copy(), 2)
+        store = reap(ProcessShardedStore(values.copy(), 2))
         params = [p for _, p in store.named_parameters()]
         opt = Adam(params, lr=0.1, lazy_rows=True)
         before = store.logical_state()
@@ -490,10 +483,10 @@ class TestSparseUpdates:
         changed = np.flatnonzero(np.any(before != after, axis=1))
         np.testing.assert_array_equal(changed, [0, 3, 9])
 
-    def test_first_step_matches_dense_adam_bitwise(self):
+    def test_first_step_matches_dense_adam_bitwise(self, reap):
         values = _table(rows=16, dim=3, seed=2)
-        lazy_store = ShardedStore(values.copy(), 2)
-        dense_store = ShardedStore(values.copy(), 2)
+        lazy_store = reap(ProcessShardedStore(values.copy(), 2))
+        dense_store = reap(ProcessShardedStore(values.copy(), 2))
         lazy = Adam([p for _, p in lazy_store.named_parameters()], lr=0.1, lazy_rows=True)
         dense = Adam([p for _, p in dense_store.named_parameters()], lr=0.1)
         ids = np.array([1, 3, 3, 14])
@@ -506,8 +499,8 @@ class TestSparseUpdates:
             lazy_store.logical_state(), dense_store.logical_state()
         )
 
-    def test_all_read_forces_dense_update(self):
-        store = ShardedStore(_table(rows=6, dim=2, seed=1), 2)
+    def test_all_read_forces_dense_update(self, reap):
+        store = reap(ProcessShardedStore(_table(rows=6, dim=2, seed=1), 2))
         params = [p for _, p in store.named_parameters()]
         opt = Adam(params, lr=0.1, lazy_rows=True)
         (store.all() ** 2).sum().backward()
@@ -516,8 +509,8 @@ class TestSparseUpdates:
         opt.step()
         assert np.all(store.logical_state() != before)
 
-    def test_zero_grad_clears_touched_rows(self):
-        store = ShardedStore(_table(rows=6, dim=2, seed=1), 2)
+    def test_zero_grad_clears_touched_rows(self, reap):
+        store = reap(ProcessShardedStore(_table(rows=6, dim=2, seed=1), 2))
         store.gather(np.array([0, 5]))
         for _, p in store.named_parameters():
             p.zero_grad()
@@ -528,9 +521,14 @@ class TestSparseUpdates:
 
         Regression: ``model.zero_grad()`` between forward and backward
         used to wipe the touched-row records the forward's gathers made,
-        silently degrading every step to the dense update.
+        silently degrading every step to the dense update.  The lazy
+        row update runs in the parent for dense parameters, so the
+        tables are dense stores handed to the scoring paths as stores
+        (the quantised tier does that; training reads its float master).
         """
-        model = _gbmf(tiny_dataset, n_shards=3)
+        model = GBMF(
+            tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4, quantize="int8"
+        )
         trainer = Trainer(
             model, tiny_dataset,
             TrainConfig(
@@ -556,9 +554,9 @@ class TestSparseUpdates:
 # Serving through the store
 # ---------------------------------------------------------------------------
 class TestServingWithShards:
-    def test_batcher_flush_matches_dense(self, tiny_dataset):
+    def test_batcher_flush_matches_dense(self, reap, tiny_dataset):
         dense = _gbmf(tiny_dataset)
-        sharded = _gbmf(tiny_dataset, n_shards=4)
+        sharded = reap(_gbmf(tiny_dataset, n_shards=4))
         batch_dense = RequestBatcher(dense)
         batch_sharded = RequestBatcher(sharded)
         tickets = []
@@ -573,8 +571,8 @@ class TestServingWithShards:
         for t_dense, t_sharded in tickets:
             np.testing.assert_array_equal(t_dense.scores, t_sharded.scores)
 
-    def test_shard_stats_exposed(self, tiny_dataset):
-        sharded = _gbmf(tiny_dataset, n_shards=4)
+    def test_shard_stats_exposed(self, reap, tiny_dataset):
+        sharded = reap(_gbmf(tiny_dataset, n_shards=4))
         batcher = RequestBatcher(sharded)
         batcher.score_items(1, [0, 1, 2, 3])
         stats = batcher.shard_stats()

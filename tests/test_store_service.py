@@ -2,10 +2,10 @@
 
 Covers the PR's acceptance criteria end to end:
 
-* **Bit parity at float64** — dense vs in-process shards vs worker
-  processes for GBMF and MGBR: eval metrics, planned epoch losses and
-  post-Adam weights are identical, because gathers move exact rows and
-  every worker-side update mirrors the in-process math op for op.
+* **Bit parity at float64** — dense vs worker processes for GBMF and
+  MGBR: eval metrics, planned epoch losses and post-Adam weights are
+  identical, because gathers move exact rows and every worker-side
+  update mirrors the dense math op for op.
 * **Zero-copy adoption** — the planned ``no_grad`` gather hands the
   fused executor a view of the shared result arena (CountingBackend
   audit: no redundant copy between the shm buffer and the workspace).
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import multiprocessing
 from multiprocessing import shared_memory
 
@@ -36,13 +37,7 @@ from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.nn.tensor import no_grad
 from repro.plan import ScoringPlan
 from repro.serving import RequestBatcher, ServingEngine, ShardUnavailable
-from repro.store import (
-    DenseStore,
-    ProcessShardedStore,
-    ShardedStore,
-    iter_stores,
-    make_store,
-)
+from repro.store import DenseStore, ProcessShardedStore, iter_stores, make_store
 from repro.training import TrainConfig, Trainer
 from repro.training.checkpoint import load_checkpoint, restore_model, save_checkpoint
 
@@ -104,18 +99,6 @@ class TestProcessStoreContract:
                 ids, rows = store.shard_rows(k)
                 np.testing.assert_array_equal(rows, values[ids])
 
-    def test_plan_cached_gather_and_mismatch_error(self):
-        values = _table()
-        with ProcessShardedStore(values.copy(), 2) as store:
-            users = np.array([0, 3, 3, 9], dtype=np.int64)
-            items = np.array([1, 2, 3, 4], dtype=np.int64)
-            plan = ScoringPlan.from_item_pairs(users, items)
-            with no_grad():
-                out = store.gather(plan.unique_users, plan=plan, role="users")
-            np.testing.assert_array_equal(out.data, values[plan.unique_users])
-            with pytest.raises(ValueError, match="do not match the plan"):
-                store.gather(np.array([0], dtype=np.int64), plan=plan, role="users")
-
     def test_make_store_service_layouts(self, monkeypatch):
         monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # default layouts
         values = _table()
@@ -125,7 +108,8 @@ class TestProcessStoreContract:
         store = make_store(values, 3, service=True)
         assert isinstance(store, ProcessShardedStore) and store.n_shards == 3
         store.close()
-        assert isinstance(make_store(values, 3), ShardedStore)
+        with pytest.raises(ValueError, match="service=True"):
+            make_store(values, 3)
 
     def test_training_step_parity_adam_clip(self):
         """3 gather→backward→clip→Adam rounds: weights stay bit-equal."""
@@ -169,8 +153,8 @@ class TestProcessStoreContract:
             svc_state = run(store)
         np.testing.assert_array_equal(dense_state, svc_state)
 
-    def test_lazy_adam_matches_in_process_shards(self):
-        """Worker-side lazy rows mirror the in-process touched-row record."""
+    def test_lazy_adam_matches_dense(self):
+        """Worker-side lazy rows mirror the dense touched-row record."""
         values = _table()
         chunks = [
             np.array([1, 5, 40], dtype=np.int64),
@@ -188,15 +172,15 @@ class TestProcessStoreContract:
                 opt.step()
             return store.logical_state()
 
-        inproc = run(ShardedStore(values.copy(), 3))
+        dense = run(DenseStore(values.copy()))
         with ProcessShardedStore(values.copy(), 3) as store:
             svc = run(store)
-        np.testing.assert_array_equal(inproc, svc)
+        np.testing.assert_array_equal(dense, svc)
 
     def test_rebind_dtype(self):
         """Worker buffers shrink to float32; reads round-trip the cast
         rows exactly (gather output dtype follows the global default,
-        same as the in-process layouts)."""
+        same as the dense layout)."""
         values = _table()
         with ProcessShardedStore(values.copy(), 2) as store:
             store.rebind_dtype(np.float32)
@@ -257,7 +241,7 @@ class TestStats:
 # ---------------------------------------------------------------------------
 class TestModelParity:
     def test_gbmf_eval_metrics_bit_identical(self, tiny_dataset, monkeypatch):
-        # Bit-parity against an in-process float reference; the env
+        # Bit-parity against a dense float reference; the env
         # lane would quantise only the reference (service is exempt).
         monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=40)
@@ -282,7 +266,7 @@ class TestModelParity:
     @pytest.mark.parametrize("build", [_gbmf, _mgbr], ids=["gbmf", "mgbr"])
     def test_planned_training_bit_identical(self, tiny_dataset, build):
         """Two planned epochs: losses AND post-Adam weights match dense
-        and the in-process sharded layout bit for bit."""
+        bit for bit."""
 
         def run(n_shards, service):
             model = build(tiny_dataset, n_shards, service=service)
@@ -300,12 +284,10 @@ class TestModelParity:
                 _close_stores(model)
 
         dense_losses, dense_state = run(0, False)
-        inproc_losses, inproc_state = run(3, False)
         svc_losses, svc_state = run(3, True)
-        assert dense_losses == inproc_losses == svc_losses
+        assert dense_losses == svc_losses
         assert set(dense_state) == set(svc_state)
         for key in dense_state:
-            np.testing.assert_array_equal(dense_state[key], inproc_state[key])
             np.testing.assert_array_equal(dense_state[key], svc_state[key])
 
 
@@ -340,7 +322,7 @@ class TestCopyAudit:
             with backend_scope(counting), no_grad():
                 store = model.initiator_table.store
                 before = counting.copies
-                store.gather(plan.unique_users, plan=plan, role="users")
+                store.gather(plan.unique_users)
                 assert counting.copies == before
         finally:
             _close_stores(model)
@@ -378,6 +360,24 @@ class TestFaultIsolation:
             with no_grad():
                 out = store.gather(np.array([40, 50], dtype=np.int64))
             np.testing.assert_array_equal(out.data, values[[40, 50]])
+
+    def test_first_failure_logs_one_warning(self, caplog):
+        """A lost worker is logged once, not once per failing gather."""
+        caplog.set_level(logging.WARNING, logger="repro.store")
+        with ProcessShardedStore(_table(), 2, rpc_timeout=5.0) as store:
+            store._procs[0].kill()
+            store._procs[0].join()
+            for _ in range(3):
+                with pytest.raises(ShardUnavailable), no_grad():
+                    store.gather(np.array([0, 40], dtype=np.int64))
+        records = [r for r in caplog.records if r.name == "repro.store"]
+        assert len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.WARNING
+        assert record.shard == 0
+        assert record.reason in ("worker died", "pipe closed")
+        assert record.elapsed_ms >= 0.0
+        assert "shard 0" in record.getMessage()
 
     def test_engine_contains_dead_worker_to_one_task(self, tiny_dataset):
         """Task A (items) hits the dead item-table worker and resolves
@@ -445,9 +445,9 @@ class TestServiceCheckpoints:
 
     def test_cross_layout_restore(self, tiny_dataset, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # float bit-parity
-        """Service checkpoints restore into in-process layouts and back."""
+        """Service shard files restore into the dense layout."""
         src = _gbmf(tiny_dataset, n_shards=2, service=True)
-        dst = _gbmf(tiny_dataset, n_shards=4)  # in-process target
+        dst = _gbmf(tiny_dataset)  # dense target
         try:
             path = save_checkpoint(src, tmp_path / "x.npz", shard_files=True)
             restore_model(dst, path)
