@@ -207,45 +207,49 @@ def _bench_fused(model, dataset) -> dict:
     plan_b = ScoringPlan.for_participants(
         task_b["users"], task_b["items"], task_b["candidates"]
     )
+    def tape_scorer(hook):
+        # The tape hook called directly under no_grad: the planned
+        # dispatch's tape path, which no_grad scoring no longer takes.
+        return lambda plan: np.asarray(
+            hook(model._bundle(), plan).data, dtype=np.float64
+        ).ravel()
+
     jobs = []
-    for plan, scorer in (
-        (plan_a, model.score_item_plan),
-        (plan_b, model.score_participant_plan),
+    for plan, fused, tape in (
+        (plan_a, model.score_item_plan, tape_scorer(model._score_item_plan)),
+        (plan_b, model.score_participant_plan,
+         tape_scorer(model._score_participant_plan)),
     ):
         subs = [
             plan.pair_slice(slice(start, min(start + FUSED_CHUNK, plan.n_pairs)))
             for start in range(0, plan.n_pairs, FUSED_CHUNK)
         ]
-        jobs.append((scorer, subs))
+        jobs.append(({"fused": fused, "tape": tape}, subs))
 
     def one_pass(executor):
-        model.executor = executor
         elapsed = 0.0
         scores = []
         with no_grad():
             model.refresh_cache()
-            for scorer, subs in jobs:
+            for scorers, subs in jobs:
+                scorer = scorers[executor]
                 started = time.perf_counter()
                 chunks = [scorer(sub) for sub in subs]
                 elapsed += time.perf_counter() - started
                 scores.append(np.concatenate(chunks))
         return scores, elapsed
 
-    previous = model.executor
-    try:
-        tape_ref, _ = one_pass("tape")  # warm caches + parity reference
-        fused_ref, _ = one_pass("fused")
-        identical = all(np.array_equal(t, f) for t, f in zip(tape_ref, fused_ref))
-        ratios, tape_times, fused_times = [], [], []
-        for _ in range(FUSED_PAIRS):
-            _, tape_seconds = one_pass("tape")
-            _, fused_seconds = one_pass("fused")
-            ratios.append(tape_seconds / fused_seconds)
-            tape_times.append(tape_seconds)
-            fused_times.append(fused_seconds)
-        stats = model.executor_stats()
-    finally:
-        model.executor = previous
+    tape_ref, _ = one_pass("tape")  # warm caches + parity reference
+    fused_ref, _ = one_pass("fused")
+    identical = all(np.array_equal(t, f) for t, f in zip(tape_ref, fused_ref))
+    ratios, tape_times, fused_times = [], [], []
+    for _ in range(FUSED_PAIRS):
+        _, tape_seconds = one_pass("tape")
+        _, fused_seconds = one_pass("fused")
+        ratios.append(tape_seconds / fused_seconds)
+        tape_times.append(tape_seconds)
+        fused_times.append(fused_seconds)
+    stats = model.executor_stats()
     n_pairs = plan_a.n_pairs + plan_b.n_pairs
     tape_best, fused_best = min(tape_times), min(fused_times)
     return {

@@ -380,7 +380,6 @@ def _scaling_flood(n_workers: int, rows_per_worker: int,
         # each worker's flush slot comes around n× less often — the age
         # budget must cover one fleet-wide drain cycle, not one worker's.
         max_queue_age_ms=OVERLOAD_DEADLINE_MS * n_workers,
-        executor="fused",
     )
     tickets = []
     with engine:

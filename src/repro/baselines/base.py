@@ -38,7 +38,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.executor import FusedWorkspace, VALID_EXECUTORS, resolve_executor
+from repro.executor import FusedWorkspace
 from repro.plan import ScoringPlan
 from repro.nn import functional as F
 from repro.nn.module import Module
@@ -136,31 +136,11 @@ class GroupBuyingRecommender(Module):
         self.n_users = n_users
         self.n_items = n_items
         self._cached: Optional[EmbeddingBundle] = None
-        self._executor_mode = "auto"
         self._fused_ws: Optional[FusedWorkspace] = None
 
     # ------------------------------------------------------------------
-    # Executor selection (fused no-tape inference vs. autograd tape)
+    # Fused executor state
     # ------------------------------------------------------------------
-    @property
-    def executor(self) -> str:
-        """Planned-scoring executor knob: ``"auto"``/``"fused"``/``"tape"``.
-
-        ``"auto"`` (the default) runs fused under inference and defers
-        to the ``REPRO_EXECUTOR`` environment variable; gradient
-        recording always forces the tape (the fused path builds no
-        graph).  See docs/backends.md.
-        """
-        return self._executor_mode
-
-    @executor.setter
-    def executor(self, mode: str) -> None:
-        if mode not in VALID_EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {VALID_EXECUTORS}, got {mode!r}"
-            )
-        self._executor_mode = mode
-
     def _fused_workspace(self) -> FusedWorkspace:
         """The model's lazily-built fused buffer pool + executor counters."""
         if self._fused_ws is None:
@@ -354,15 +334,19 @@ class GroupBuyingRecommender(Module):
         return ws.sum(ws.multiply(e_u.data, e_v.data), axis=1)
 
     def _run_plan(self, plan: ScoringPlan, task: str) -> np.ndarray:
-        """Dispatch one plan to the resolved executor → ``(P,)`` float64.
+        """Dispatch one plan to an executor → ``(P,)`` float64.
 
-        The fused result is copied out (``np.array``) because it lives
-        in workspace buffers that the next flush recycles; the tape
-        result goes through the same dtype normalisation as before.
+        The gradient mode picks it: fused under ``no_grad``, the tape
+        while gradients record.  A model that overrides a hook in the
+        plan's dispatch chain has no fused mirror and falls back to the
+        tape (a counted ``fallback``).  The fused result is copied out
+        (``np.array``) because it lives in workspace buffers that the
+        next flush recycles; the tape result goes through the same dtype
+        normalisation.
         """
         emb = self._bundle()
         ws = self._fused_workspace()
-        if resolve_executor(self._executor_mode, is_grad_enabled()) == "fused":
+        if not is_grad_enabled():
             scores = self._fused_score_plan(emb, plan, task)
             if scores is not None:
                 ws.stats["fused_calls"] += 1
@@ -378,9 +362,8 @@ class GroupBuyingRecommender(Module):
         Callers (the evaluation protocol's chunked runner, the serving
         front-end) scatter the result back to their request shape with
         :meth:`ScoringPlan.scatter`.  Runs on the fused no-tape executor
-        when the :attr:`executor` knob resolves to it (bit-identical at
-        float64); gradient recording or an unsupported configuration
-        falls back to the tape hooks.
+        under ``no_grad`` (bit-identical at float64); gradient recording
+        or an unsupported configuration runs the tape hooks.
         """
         if plan.is_triple:
             raise ValueError("item scoring got a participant (triple) plan")

@@ -74,7 +74,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.data.negative import NegativeSampler
-from repro.executor import VALID_EXECUTORS
 from repro.data.samples import extract_task_a, extract_task_b
 from repro.data.schema import GroupBuyingDataset
 from repro.eval.metrics import RankingAccumulator, rank_of_positive, ranks_of_positives
@@ -121,11 +120,6 @@ class EvalProtocol:
         :class:`ScoringPlan` first (see the module docstring);
         ``False`` scores every flat row the pre-plan way; ``"auto"``
         (default) lets the model's cost hint decide.
-    executor: planned-call executor knob (``"auto"``/``"fused"``/
-        ``"tape"``, see ``docs/backends.md``) applied to the model for
-        the duration of :meth:`run` and restored afterwards.  At
-        float64 the fused path is bit-identical to the tape, so metrics
-        are executor-invariant (asserted in tests).
     """
 
     dataset: GroupBuyingDataset
@@ -137,7 +131,6 @@ class EvalProtocol:
     chunk_size: int = 4096
     dtype: str = "float64"
     dedup: object = "auto"
-    executor: str = "auto"
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -148,10 +141,6 @@ class EvalProtocol:
         if self.dedup not in (True, False, "auto"):
             raise ValueError(
                 f"dedup must be True, False or 'auto', got {self.dedup!r}"
-            )
-        if self.executor not in VALID_EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {VALID_EXECUTORS}, got {self.executor!r}"
             )
 
     def _resolve_dedup(self, model) -> bool:
@@ -283,11 +272,6 @@ class EvalProtocol:
         """
         was_training = getattr(model, "training", False)
         model.eval()
-        # Scope the executor knob to this evaluation: the model may be
-        # shared with serving code that configured its own executor.
-        prior_executor = getattr(model, "executor", None)
-        if prior_executor is not None:
-            model.executor = self.executor
         try:
             with no_grad(), dtype_scope(self.dtype):
                 if hasattr(model, "refresh_cache"):
@@ -300,8 +284,6 @@ class EvalProtocol:
                 acc_b = RankingAccumulator(self.cutoff)
                 acc_b.add_ranks(ranks_of_positives(self._score_task_b(model, task_b)))
         finally:
-            if prior_executor is not None:
-                model.executor = prior_executor
             if self.dtype != "float64" and hasattr(model, "invalidate_cache"):
                 # Drop the reduced-precision encoder pass so later
                 # full-precision consumers never see float32 tensors.
@@ -361,13 +343,11 @@ def evaluate_model(
     chunk_size: int = 4096,
     dtype: str = "float64",
     dedup="auto",
-    executor: str = "auto",
 ) -> Dict[str, EvalResult]:
     """Run the paper's two standard protocols and key results by cutoff.
 
     Returns e.g. ``{"@10": EvalResult, "@100": EvalResult}``.  ``dtype``,
-    ``chunk_size``, ``dedup`` and ``executor`` forward to
-    :class:`EvalProtocol`.
+    ``chunk_size`` and ``dedup`` forward to :class:`EvalProtocol`.
     """
     out: Dict[str, EvalResult] = {}
     for n_neg, cutoff in protocols:
@@ -381,7 +361,6 @@ def evaluate_model(
             chunk_size=chunk_size,
             dtype=dtype,
             dedup=dedup,
-            executor=executor,
         )
         out[f"@{cutoff}"] = protocol.run(model)
     return out

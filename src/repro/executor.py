@@ -1,4 +1,4 @@
-"""Fused no-tape inference executor support: buffers, stats, resolution.
+"""Fused no-tape inference executor support: buffers and stats.
 
 The planned scoring path normally runs on the autograd tape: every
 primitive allocates a fresh result array and a graph node, even under
@@ -7,6 +7,11 @@ re-runs the exact same primitive sequence through a
 :class:`FusedWorkspace` instead — preallocated buffers written in place
 (``out=``) with **no** Tensor graph nodes — so a flush's transient
 allocations collapse into a reusable pool.
+
+The gradient mode alone picks the executor: planned scoring runs fused
+under ``no_grad`` and on the tape while gradients record (the fused
+path builds no graph).  See
+:meth:`repro.baselines.base.GroupBuyingRecommender._run_plan`.
 
 Bit-parity contract
 -------------------
@@ -48,46 +53,13 @@ does) because buffers are recycled on the next flush.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.nn.backend import get_backend
 
-__all__ = ["FusedWorkspace", "resolve_executor", "VALID_EXECUTORS"]
-
-#: The executor knob's accepted values (model attribute, serving/eval
-#: parameters).  ``"auto"`` defers to the ``REPRO_EXECUTOR`` environment
-#: variable (read at call time, default ``"fused"``, any other value an
-#: error); gradients always force the tape regardless.
-VALID_EXECUTORS = ("auto", "fused", "tape")
-
-#: Environment override consulted by ``"auto"`` (CI's tape-flip lane
-#: runs the fast tests once with ``REPRO_EXECUTOR=tape``).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-
-def resolve_executor(mode: str, grad_enabled: bool = False) -> str:
-    """Resolve an executor knob to the concrete ``"fused"``/``"tape"``.
-
-    Gradient recording always wins: the fused path builds no graph, so
-    training and gradcheck code transparently stay on the tape even with
-    ``executor="fused"`` set on the model.  A ``REPRO_EXECUTOR`` value
-    other than ``"fused"``/``"tape"`` raises: a mistyped CI lane must
-    fail, not silently test the default.
-    """
-    if mode not in VALID_EXECUTORS:
-        raise ValueError(f"executor must be one of {VALID_EXECUTORS}, got {mode!r}")
-    if grad_enabled:
-        return "tape"
-    if mode == "auto":
-        mode = os.environ.get(EXECUTOR_ENV, "fused")
-        if mode not in ("fused", "tape"):
-            raise ValueError(
-                f"{EXECUTOR_ENV} must be 'fused' or 'tape', got {mode!r}"
-            )
-    return mode
+__all__ = ["FusedWorkspace"]
 
 
 class FusedWorkspace:

@@ -439,18 +439,23 @@ class Tensor:
         if grad.shape != self.data.shape:
             grad = b.broadcast_to(grad, self.data.shape).copy()
 
+        # Post-order DFS on an explicit stack: deep graphs cannot hit the
+        # recursion limit, and no self-referencing closure keeps the
+        # graph alive until the cyclic collector runs.
         order: List[Tensor] = []
-        seen = set()
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
 
-        def visit(node: "Tensor") -> None:
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            order.append(node)
-
-        visit(self)
         self._accumulate(grad)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:

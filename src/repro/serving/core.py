@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.executor import VALID_EXECUTORS
 from repro.nn.tensor import dtype_scope, no_grad
 from repro.plan import ScoringPlan
 from repro.serving.errors import OverloadError, TicketTimeout
@@ -260,18 +259,11 @@ def split_expired(
 class ScoringCore:
     """Validation + flush execution over one model (no queue, no clock)."""
 
-    def __init__(self, model, dtype: str = "float64", executor: str = "auto") -> None:
+    def __init__(self, model, dtype: str = "float64") -> None:
         if dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32|float64, got {dtype!r}")
-        if executor not in VALID_EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {VALID_EXECUTORS}, got {executor!r}"
-            )
         self.model = model
         self.dtype = dtype
-        self.executor = executor
-        if hasattr(model, "executor"):
-            model.executor = executor
         self.stats = {
             "requests": 0,
             "flushes": 0,
@@ -280,7 +272,7 @@ class ScoringCore:
             "unique_pairs": 0,
             # Per-flush executor accounting: how many planned model calls
             # ran fused vs on the tape (see docs/backends.md).  Stays
-            # zero for models without the executor knob.
+            # zero for models without executor counters.
             "fused_calls": 0,
             "tape_calls": 0,
         }
@@ -288,15 +280,27 @@ class ScoringCore:
     # ------------------------------------------------------------------
     # Submission-side validation
     # ------------------------------------------------------------------
+    @staticmethod
+    def _int_ids(kind: str, ids) -> np.ndarray:
+        """``ids`` as a flat int64 array; non-integer ids raise.
+
+        Casting first would truncate ``1.9`` to item 1 and parse
+        ``"3"`` as item 3, silently serving the wrong entity.
+        """
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError(f"{kind} ids must be integers, got dtype {ids.dtype}")
+        return ids.astype(np.int64, copy=False).ravel()
+
     def _check_ids(self, kind: str, ids, bound_attr: str) -> None:
-        """Reject out-of-range ids at submit time.
+        """Reject non-integer and out-of-range ids at submit time.
 
         A malformed id that only exploded inside a flush would fail
         every co-batched ticket; validating here keeps one bad request
         from poisoning its neighbours' flush.
         """
         bound = getattr(self.model, bound_attr, None)
-        ids = np.asarray(ids)
+        ids = self._int_ids(kind, ids)
         low = int(ids.min()) if ids.size else 0
         high = int(ids.max()) if ids.size else -1
         if low < 0 or (bound is not None and high >= bound):
@@ -306,7 +310,7 @@ class ScoringCore:
 
     def check_item_request(self, user: int, candidate_items: Sequence[int]) -> np.ndarray:
         """Validate a Task-A request; return the canonical candidate array."""
-        candidates = np.asarray(candidate_items, dtype=np.int64).ravel()
+        candidates = self._int_ids("item", candidate_items)
         if candidates.size == 0:
             raise ValueError("a scoring request needs at least one candidate")
         self._check_ids("user", [user], "n_users")
@@ -317,7 +321,7 @@ class ScoringCore:
         self, user: int, item: int, candidate_users: Sequence[int]
     ) -> np.ndarray:
         """Validate a Task-B request; return the canonical candidate array."""
-        candidates = np.asarray(candidate_users, dtype=np.int64).ravel()
+        candidates = self._int_ids("participant", candidate_users)
         if candidates.size == 0:
             raise ValueError("a scoring request needs at least one candidate")
         self._check_ids("user", [user], "n_users")

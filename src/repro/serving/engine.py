@@ -118,10 +118,6 @@ class ServingEngine:
         sustained queue pressure, truncate candidate lists and/or score
         via a registered fallback model; served tickets carry
         ``degraded=True``.
-    executor: planned-call executor knob (``"auto"``/``"fused"``/
-        ``"tape"``, see ``docs/backends.md``) applied to the model (and
-        the degradation fallback, if any).  ``"auto"`` (default) serves
-        fused unless ``REPRO_EXECUTOR=tape`` overrides it.
 
     Usage::
 
@@ -145,7 +141,6 @@ class ServingEngine:
         max_queue_rows: Optional[int] = None,
         max_queue_age_ms: Optional[float] = None,
         degradation: Optional[DegradationPolicy] = None,
-        executor: str = "auto",
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -155,7 +150,7 @@ class ServingEngine:
             raise ValueError(
                 f"max_queue_age_ms must be > 0, got {max_queue_age_ms}"
             )
-        self._core = ScoringCore(model, dtype, executor=executor)
+        self._core = ScoringCore(model, dtype)
         self.max_pending = max_pending
         self.max_delay_ms = float(max_delay_ms)
         self.max_queue_age_ms = (
@@ -166,9 +161,7 @@ class ServingEngine:
         if degradation is not None:
             degradation.check_compatible(model)
             if degradation.fallback_model is not None:
-                self._fallback_core = ScoringCore(
-                    degradation.fallback_model, dtype, executor=executor
-                )
+                self._fallback_core = ScoringCore(degradation.fallback_model, dtype)
         self._cv = threading.Condition()
         self._queue = RequestQueue(max_rows=max_queue_rows)
         self._seq = 0              # newest submitted request
@@ -199,11 +192,6 @@ class ServingEngine:
     @property
     def dtype(self) -> str:
         return self._core.dtype
-
-    @property
-    def executor(self) -> str:
-        """The executor knob both cores serve with (see docs/backends.md)."""
-        return self._core.executor
 
     @property
     def max_queue_rows(self) -> Optional[int]:
@@ -597,7 +585,6 @@ class ServingEngine:
             engine = {
                 "running": self._running_locked(),
                 "dtype": self._core.dtype,
-                "executor": self._core.executor,
                 "max_pending": self.max_pending,
                 "max_delay_ms": self.max_delay_ms,
                 "pending_rows": dict(self._queue.pending_rows),

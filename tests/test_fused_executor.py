@@ -1,70 +1,28 @@
 """The fused no-tape executor: bit-parity, fallbacks, buffer reuse.
 
-The contract under test (see ``docs/backends.md``): with
-``executor="fused"`` every planned scoring call at float64 is
-**bit-identical** to the tape — for the MGBR expert/gate stack and the
-dot-product baselines, dense or sharded stores, via direct plan calls,
-the evaluation protocol and the serving engines — while gradient
-recording and unsupported model configurations transparently fall back
-to the tape (counted, never wrong).
+The contract under test (see ``docs/backends.md``): under ``no_grad``
+every planned scoring call at float64 runs fused and is
+**bit-identical** to the model's tape hook — for the MGBR expert/gate
+stack and the dot-product baselines, dense or sharded stores, via direct
+plan calls, the evaluation protocol and the serving engines — while
+gradient recording always runs the tape and a model overriding a hook
+falls back to it (counted, never wrong).
 """
 
 import numpy as np
 import pytest
 
+import repro.baselines as baselines
 from repro.baselines.gbmf import GBMF
+from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig
-from repro.eval.protocol import EvalProtocol
-from repro.executor import EXECUTOR_ENV, VALID_EXECUTORS, resolve_executor
+from repro.eval.protocol import EvalProtocol, evaluate_model
 from repro.nn import is_grad_enabled, no_grad
 from repro.nn.tensor import dtype_scope
 from repro.plan import ScoringPlan
+from repro.serving.core import ScoringCore
 from repro.serving.engine import ServingEngine
 from repro.serving.multi import MultiWorkerEngine
-
-
-# ----------------------------------------------------------------------
-# Knob resolution
-# ----------------------------------------------------------------------
-class TestResolveExecutor:
-    def test_valid_modes(self):
-        assert resolve_executor("fused") == "fused"
-        assert resolve_executor("tape") == "tape"
-
-    def test_invalid_mode_raises(self):
-        with pytest.raises(ValueError):
-            resolve_executor("jit")
-
-    def test_grad_forces_tape(self):
-        assert resolve_executor("fused", grad_enabled=True) == "tape"
-        assert resolve_executor("auto", grad_enabled=True) == "tape"
-
-    def test_auto_defaults_to_fused(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert resolve_executor("auto") == "fused"
-
-    def test_auto_reads_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "tape")
-        assert resolve_executor("auto") == "tape"
-        monkeypatch.setenv(EXECUTOR_ENV, "fused")
-        assert resolve_executor("auto") == "fused"
-
-    def test_auto_rejects_unknown_env_value(self, monkeypatch):
-        # A mistyped lane (``tpae``) must fail loudly, not run the default.
-        monkeypatch.setenv(EXECUTOR_ENV, "tpae")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR.*'tpae'"):
-            resolve_executor("auto")
-        # Explicit modes and gradient recording never consult the env.
-        assert resolve_executor("fused") == "fused"
-        assert resolve_executor("auto", grad_enabled=True) == "tape"
-
-    def test_model_knob_validates(self, tiny_dataset):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=4, seed=0)
-        with pytest.raises(ValueError):
-            model.executor = "jit"
-        model.executor = "tape"
-        assert model.executor == "tape"
-        assert "auto" in VALID_EXECUTORS
 
 
 # ----------------------------------------------------------------------
@@ -95,22 +53,36 @@ def _plans(rng, dataset):
     )
 
 
-def _both_executors(model, plan, task):
-    """Score ``plan`` fused then on the tape; return both vectors.
+def _tape_reference(model, plan, task):
+    """The model's tape hook on ``plan`` under ``no_grad`` → ``(P,)`` float64.
 
-    Runs under ``no_grad`` — with recording on, resolution would force
-    the tape regardless of the knob (tested separately below).
+    Calls the hook directly, so it bypasses the executor dispatch and
+    its counters: the reference every fused result must equal.
     """
+    hook = model._score_item_plan if task == "items" else model._score_participant_plan
+    with no_grad():
+        return np.asarray(hook(model._bundle(), plan).data, dtype=np.float64).ravel()
+
+
+def _both_executors(model, plan, task):
+    """Score ``plan`` through the dispatch and on the tape hook."""
     scorer = (
         model.score_item_plan if task == "items" else model.score_participant_plan
     )
     with no_grad():
-        model.executor = "fused"
         fused = scorer(plan)
-        model.executor = "tape"
-        tape = scorer(plan)
-    model.executor = "auto"
-    return fused, tape
+    return fused, _tape_reference(model, plan, task)
+
+
+#: Every scorer exported by ``repro.baselines``, plus MGBR.
+_MODELS = ["MGBR"] + [
+    name for name in baselines.__all__
+    if name not in ("GroupBuyingRecommender", "EmbeddingBundle")
+]
+
+#: (model, task) pairs whose model overrides a hook in that task's
+#: dispatch chain, so the planned call takes the counted tape fallback.
+_FALLS_BACK = {("EATNN", "participants")}
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +98,7 @@ class TestBitParity:
         fused, tape = _both_executors(model, plan, task)
         np.testing.assert_array_equal(fused, tape)
         stats = model.executor_stats()
-        assert stats["fused_calls"] == 1 and stats["tape_calls"] == 1
+        assert stats["fused_calls"] == 1 and stats["tape_calls"] == 0
         assert stats["fallbacks"] == 0
 
     @pytest.mark.parametrize("shards", [0, 3])
@@ -139,18 +111,41 @@ class TestBitParity:
         np.testing.assert_array_equal(fused, tape)
         assert model.executor_stats()["fallbacks"] == 0
 
+    @pytest.mark.parametrize("name", _MODELS)
+    @pytest.mark.parametrize("task", ["items", "participants"])
+    def test_every_model_fused_or_counted_fallback(self, tiny_dataset, rng, name, task):
+        model = _mgbr(tiny_dataset) if name == "MGBR" else build_model(
+            name, tiny_dataset, dim=8, seed=3
+        )
+        plan_items, plan_triples = _plans(rng, tiny_dataset)
+        plan = plan_items if task == "items" else plan_triples
+        scores, tape = _both_executors(model, plan, task)
+        np.testing.assert_array_equal(scores, tape)
+        stats = model.executor_stats()
+        counts = (stats["fused_calls"], stats["fallbacks"], stats["tape_calls"])
+        assert counts == ((0, 1, 1) if (name, task) in _FALLS_BACK else (1, 0, 0))
+        # With recording on, the same call runs the tape and never fused.
+        scorer = model.score_item_plan if task == "items" else model.score_participant_plan
+        scorer(plan)
+        after = model.executor_stats()
+        assert after["fused_calls"] == stats["fused_calls"]
+        assert after["tape_calls"] == stats["tape_calls"] + 1
+        assert after["fallbacks"] == stats["fallbacks"]
+
     @pytest.mark.parametrize("build", [_mgbr, _gbmf])
-    def test_eval_metrics_executor_invariant(self, tiny_dataset, build):
+    def test_eval_metrics_executor_invariant(self, tiny_dataset, build, monkeypatch):
         model = build(tiny_dataset)
-        results = {}
-        for executor in ("fused", "tape"):
-            protocol = EvalProtocol(
-                dataset=tiny_dataset, n_negatives=5, cutoff=5,
-                max_instances=40, executor=executor,
-            )
-            results[executor] = protocol.run(model).flat()
-        assert results["fused"] == results["tape"]
-        assert model.executor == "auto"  # run() restored the knob
+        protocol = EvalProtocol(
+            dataset=tiny_dataset, n_negatives=5, cutoff=5, max_instances=40,
+            dedup=True,
+        )
+        fused = protocol.run(model).flat()
+        assert model.executor_stats()["fused_calls"] > 0
+        # Without a fused mirror every planned call runs the tape hooks.
+        monkeypatch.setattr(model, "_fused_score_plan", lambda emb, plan, task: None)
+        tape = protocol.run(model).flat()
+        assert model.executor_stats()["fallbacks"] > 0
+        assert fused == tape
 
     def test_float32_scope_stays_close(self, tiny_dataset, rng):
         model = _mgbr(tiny_dataset)
@@ -167,14 +162,14 @@ class TestBitParity:
 class TestFallbacks:
     def test_grad_recording_routes_to_tape(self, tiny_dataset, rng):
         model = _mgbr(tiny_dataset)
-        model.executor = "fused"
-        plan, _ = _plans(rng, tiny_dataset)
+        plan, triples = _plans(rng, tiny_dataset)
         assert is_grad_enabled()  # tests run with recording on by default
         model.score_item_plan(plan)
+        model.score_participant_plan(triples)
         stats = model.executor_stats()
         assert stats["fused_calls"] == 0
-        assert stats["tape_calls"] == 1
-        assert stats["fallbacks"] == 0  # resolution, not a mirror gap
+        assert stats["tape_calls"] == 2
+        assert stats["fallbacks"] == 0  # the gradient mode, not a mirror gap
 
     def test_overridden_hook_counts_fallback(self, tiny_dataset, rng):
         class CustomMGBR(MGBR):
@@ -186,7 +181,6 @@ class TestFallbacks:
             tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
             config=config, seed=3,
         )
-        model.executor = "fused"
         plan, triples = _plans(rng, tiny_dataset)
         with no_grad():
             fused_attempt = model.score_item_plan(plan)
@@ -197,9 +191,8 @@ class TestFallbacks:
             assert model.executor_stats()["fused_calls"] == 1
             # And the fallback's scores equal the reference model's tape run.
             reference = _mgbr(tiny_dataset)
-            reference.executor = "tape"
             np.testing.assert_array_equal(
-                fused_attempt, reference.score_item_plan(plan)
+                fused_attempt, _tape_reference(reference, plan, "items")
             )
 
     def test_overridden_baseline_hook_counts_fallback(self, tiny_dataset, rng):
@@ -209,7 +202,6 @@ class TestFallbacks:
 
         model = CustomGBMF(tiny_dataset.n_users, tiny_dataset.n_items,
                            dim=8, seed=3)
-        model.executor = "fused"
         plan, _ = _plans(rng, tiny_dataset)
         with no_grad():
             model.score_item_plan(plan)
@@ -223,7 +215,6 @@ class TestFallbacks:
 class TestWorkspaceReuse:
     def test_repeat_flushes_hit_buffers(self, tiny_dataset, rng):
         model = _mgbr(tiny_dataset)
-        model.executor = "fused"
         plan, _ = _plans(rng, tiny_dataset)
         with no_grad():
             model.score_item_plan(plan)
@@ -238,7 +229,6 @@ class TestWorkspaceReuse:
 
     def test_dtype_switch_invalidates(self, tiny_dataset, rng):
         model = _mgbr(tiny_dataset)
-        model.executor = "fused"
         plan, _ = _plans(rng, tiny_dataset)
         with no_grad():
             model.score_item_plan(plan)
@@ -251,7 +241,6 @@ class TestWorkspaceReuse:
         # Two flushes reuse the same buffers; the first result must not
         # be overwritten by the second (scores are copied out).
         model = _mgbr(tiny_dataset)
-        model.executor = "fused"
         plan, _ = _plans(rng, tiny_dataset)
         with no_grad():
             first = model.score_item_plan(plan)
@@ -266,46 +255,63 @@ class TestWorkspaceReuse:
 # Serving integration
 # ----------------------------------------------------------------------
 class TestServingExecutor:
-    def _serve(self, model, executor):
-        with ServingEngine(model, max_delay_ms=1.0, executor=executor) as engine:
+    def _serve(self, model):
+        with ServingEngine(model, max_delay_ms=1.0) as engine:
             a = engine.score_items(3, [0, 1, 2, 5], timeout=5.0)
             b = engine.score_participants(3, 1, [4, 5, 6], timeout=5.0)
             stats = engine.stats()
         return a, b, stats
 
     def test_served_scores_bit_identical(self, tiny_dataset):
-        fused_a, fused_b, fused_stats = self._serve(_mgbr(tiny_dataset), "fused")
-        tape_a, tape_b, tape_stats = self._serve(_mgbr(tiny_dataset), "tape")
-        np.testing.assert_array_equal(fused_a, tape_a)
-        np.testing.assert_array_equal(fused_b, tape_b)
-        assert fused_stats["engine"]["executor"] == "fused"
-        assert fused_stats["batcher"]["fused_calls"] == 2
-        assert fused_stats["batcher"]["tape_calls"] == 0
-        assert tape_stats["batcher"]["fused_calls"] == 0
-        assert tape_stats["batcher"]["tape_calls"] == 2
+        model = _mgbr(tiny_dataset)
+        served_a, served_b, stats = self._serve(model)
+        model.eval()  # the mode the engine served in
+        plan_a = ScoringPlan.from_item_pairs(np.full(4, 3), [0, 1, 2, 5])
+        plan_b = ScoringPlan.from_triples(np.full(3, 3), np.full(3, 1), [4, 5, 6])
+        np.testing.assert_array_equal(
+            served_a, plan_a.scatter(_tape_reference(model, plan_a, "items"))
+        )
+        np.testing.assert_array_equal(
+            served_b, plan_b.scatter(_tape_reference(model, plan_b, "participants"))
+        )
+        assert stats["batcher"]["fused_calls"] == 2
+        assert stats["batcher"]["tape_calls"] == 0
 
     def test_invalid_executor_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            ServingEngine(_gbmf(tiny_dataset), executor="jit")
+        # The gradient mode picks the executor; no entry point takes one.
+        model = _gbmf(tiny_dataset)
+        assert not hasattr(model, "executor")
+        for build in (
+            lambda: ServingEngine(model, executor="tape"),
+            lambda: MultiWorkerEngine([model], executor="tape"),
+            lambda: ScoringCore(model, executor="tape"),
+            lambda: EvalProtocol(tiny_dataset, executor="tape"),
+            lambda: evaluate_model(model, tiny_dataset, executor="tape"),
+        ):
+            with pytest.raises(TypeError, match="executor"):
+                build()
 
     def test_multi_worker_parity_and_aggregation(self, tiny_dataset):
-        def replicas():
-            return [_mgbr(tiny_dataset, seed=3) for _ in range(2)]
-
-        scores = {}
-        for executor in ("fused", "tape"):
-            with MultiWorkerEngine(
-                replicas(), max_delay_ms=1.0, executor=executor
-            ) as engine:
-                scores[executor] = [
-                    engine.score_items(0, [0, 1, 2], timeout=5.0),
-                    engine.score_items(1, [0, 1, 2], timeout=5.0),
-                    engine.score_participants(1, 0, [2, 3], timeout=5.0),
-                ]
-                aggregate = engine.stats()["aggregate"]
-            key = f"{executor}_calls"
-            assert aggregate[key] >= 3
-            other = "tape_calls" if executor == "fused" else "fused_calls"
-            assert aggregate[other] == 0
-        for fused, tape in zip(scores["fused"], scores["tape"]):
-            np.testing.assert_array_equal(fused, tape)
+        requests = [("items", 0, 0, [0, 1, 2]), ("items", 1, 0, [0, 1, 2]),
+                    ("participants", 1, 0, [2, 3])]
+        with MultiWorkerEngine(
+            [_mgbr(tiny_dataset, seed=3) for _ in range(2)], max_delay_ms=1.0
+        ) as engine:
+            served = [
+                engine.score_items(user, cands, timeout=5.0) if task == "items"
+                else engine.score_participants(user, item, cands, timeout=5.0)
+                for task, user, item, cands in requests
+            ]
+            aggregate = engine.stats()["aggregate"]
+        assert aggregate["fused_calls"] >= 3
+        assert aggregate["tape_calls"] == 0
+        reference = _mgbr(tiny_dataset, seed=3).eval()
+        for scores, (task, user, item, cands) in zip(served, requests):
+            n = len(cands)
+            plan = (
+                ScoringPlan.from_item_pairs(np.full(n, user), cands) if task == "items"
+                else ScoringPlan.from_triples(np.full(n, user), np.full(n, item), cands)
+            )
+            np.testing.assert_array_equal(
+                scores, plan.scatter(_tape_reference(reference, plan, task))
+            )

@@ -108,6 +108,16 @@ class TestBackwardMechanics:
         expected = 2 * (a.data + 1) + 2 * a.data  # d/da of 2a(a+1)
         np.testing.assert_allclose(a.grad, expected)
 
+    def test_deep_chain_backward_does_not_recurse(self):
+        # 5,000 ops is several times the default recursion limit.
+        a = tensor([2.0], requires_grad=True)
+        y = a
+        for _ in range(2500):
+            y = y * 0.999
+            y = y + 1.0
+        y.sum().backward()
+        np.testing.assert_allclose(a.grad, [0.999 ** 2500], rtol=1e-12)
+
 
 class TestArithmeticGradients:
     def test_add(self, rng):

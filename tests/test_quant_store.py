@@ -125,8 +125,9 @@ class TestCodec:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="quantize"):
             quantize_rows(_table(4, 4), "int4")
-        with pytest.raises(ValueError, match="quantize"):
-            make_store(_table(4, 4), quantize="int4")
+        for bad in ("int4", "none", ""):  # None is the one float-layout spelling
+            with pytest.raises(ValueError, match="quantize"):
+                make_store(_table(4, 4), quantize=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,7 @@ class TestQuantizedStore:
 # make_store / model thread-through
 # ---------------------------------------------------------------------------
 class TestThreadThrough:
-    def test_make_store_wraps_each_layout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
+    def test_make_store_wraps_each_layout(self):
         dense = make_store(_table(), quantize="fp16")
         assert isinstance(dense, QuantizedStore)
         assert isinstance(dense.inner, DenseStore)
@@ -251,25 +251,6 @@ class TestThreadThrough:
             assert sharded.quantize == "int8" and sharded.n_shards == 3
         plain = make_store(_table())
         assert isinstance(plain, DenseStore)  # quantize=None: no wrapper
-
-    def test_env_default_applies_to_in_process_layouts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUANTIZE", "int8")
-        assert isinstance(make_store(_table()), QuantizedStore)
-        assert isinstance(make_store(_table(), n_shards=1), QuantizedStore)
-        # Explicit opt-out pins the float baseline under the env default.
-        assert isinstance(make_store(_table(), quantize="none"), DenseStore)
-        monkeypatch.setenv("REPRO_QUANTIZE", "bogus")
-        with pytest.raises(ValueError, match="quantize"):
-            make_store(_table())
-
-    def test_env_default_skips_service_stores(self, monkeypatch):
-        # Service tables train through the parent; the env knob must not
-        # silently flip them into the inference-only quantised mode.
-        monkeypatch.setenv("REPRO_QUANTIZE", "int8")
-        with make_store(_table(), n_shards=2, service=True) as store:
-            assert store.quantize is None
-            out = store.gather(np.arange(4))  # grad-enabled: must not raise
-            assert out.requires_grad
 
     def test_embedding_and_config_knobs(self):
         emb = Embedding(12, 48, seed=0, quantize="int8")

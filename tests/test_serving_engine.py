@@ -92,15 +92,38 @@ class TestLifecycle:
         assert not engine.running
 
     def test_submit_validation_matches_batcher(self, tiny_dataset, gbmf):
+        bad_items = [
+            (0, []),
+            (-1, [0]),
+            (0, [tiny_dataset.n_items]),
+            # Non-integer ids would be truncated or parsed into a
+            # different entity's scores.
+            (0, [1.9, 2.2]),
+            (0.7, [1, 2]),
+            (0, ["3", "4"]),
+            (np.float64(1.0), [1]),
+            (0, np.array([1.0, 2.0])),
+        ]
+        bad_participants = [
+            (0, 0, [tiny_dataset.n_users]),
+            (0, 0, [1.5]),
+            (0, 0.2, [1]),
+            ("0", 0, [1]),
+        ]
         with ServingEngine(gbmf) as engine:
-            with pytest.raises(ValueError):
-                engine.submit_items(0, [])
-            with pytest.raises(ValueError):
-                engine.submit_items(-1, [0])
-            with pytest.raises(ValueError):
-                engine.submit_items(0, [tiny_dataset.n_items])
-            with pytest.raises(ValueError):
-                engine.submit_participants(0, 0, [tiny_dataset.n_users])
+            for user, candidates in bad_items:
+                with pytest.raises(ValueError):
+                    engine.submit_items(user, candidates)
+            for user, item, candidates in bad_participants:
+                with pytest.raises(ValueError):
+                    engine.submit_participants(user, item, candidates)
+            # Integer scalars and integer-dtype arrays of any width pass.
+            scores = engine.score_items(np.int32(0), np.array([1, 2], dtype=np.uint8),
+                                        timeout=5.0)
+            assert scores.shape == (2,)
+            scores = engine.score_participants(np.int64(0), 1, np.array([2], dtype=np.int16),
+                                               timeout=5.0)
+            assert scores.shape == (1,)
 
 
 class TestFlushClock:

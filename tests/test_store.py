@@ -38,13 +38,6 @@ def _table(rows=23, dim=5, seed=0):
     return np.random.default_rng(seed).normal(size=(rows, dim))
 
 
-@pytest.fixture(autouse=True)
-def _float_layouts(monkeypatch):
-    """Pin float tables: the ``REPRO_QUANTIZE`` default quantises only the
-    dense side of a parity pair (service stores ignore it)."""
-    monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
-
-
 # ---------------------------------------------------------------------------
 # Partitioner / shard maps
 # ---------------------------------------------------------------------------
@@ -182,10 +175,10 @@ class TestStoreParity:
 
 #: Every ``make_store`` layout over one 20-row table.
 _LAYOUTS = {
-    "dense": lambda v: make_store(v, quantize="none"),
+    "dense": lambda v: make_store(v),
     "int8": lambda v: make_store(v, quantize="int8"),
     "fp16": lambda v: make_store(v, quantize="fp16"),
-    "lru": lambda v: LRUCachedStore(make_store(v, quantize="none"), capacity=8),
+    "lru": lambda v: LRUCachedStore(make_store(v), capacity=8),
     "process": lambda v: make_store(v, 2, service=True),
 }
 

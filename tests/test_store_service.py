@@ -99,8 +99,7 @@ class TestProcessStoreContract:
                 ids, rows = store.shard_rows(k)
                 np.testing.assert_array_equal(rows, values[ids])
 
-    def test_make_store_service_layouts(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # default layouts
+    def test_make_store_service_layouts(self):
         values = _table()
         store = make_store(values, 0, service=True)
         assert isinstance(store, ProcessShardedStore) and store.n_shards == 1
@@ -240,10 +239,8 @@ class TestStats:
 # Model-level layout parity (the acceptance criterion)
 # ---------------------------------------------------------------------------
 class TestModelParity:
-    def test_gbmf_eval_metrics_bit_identical(self, tiny_dataset, monkeypatch):
-        # Bit-parity against a dense float reference; the env
-        # lane would quantise only the reference (service is exempt).
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
+    def test_gbmf_eval_metrics_bit_identical(self, tiny_dataset):
+        # Bit-parity against a dense float reference.
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=40)
         dense = protocol.run(_gbmf(tiny_dataset)).flat()
         service_model = _gbmf(tiny_dataset, 3, service=True)
@@ -443,8 +440,7 @@ class TestServiceCheckpoints:
             _close_stores(src)
             _close_stores(dst)
 
-    def test_cross_layout_restore(self, tiny_dataset, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # float bit-parity
+    def test_cross_layout_restore(self, tiny_dataset, tmp_path):
         """Service shard files restore into the dense layout."""
         src = _gbmf(tiny_dataset, n_shards=2, service=True)
         dst = _gbmf(tiny_dataset)  # dense target

@@ -1,10 +1,13 @@
 """Tests for the trainer, histories and checkpoints."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.baselines import GBMF
 from repro.core import MGBR, MGBRConfig
+from repro.nn import Tensor
 from repro.training import (
     EpochRecord,
     History,
@@ -255,6 +258,28 @@ class TestPlannedStepParity:
                              phases={"sampling": 0.5, "forward": 1.5}))
         loaded = History.from_json(h.to_json(tmp_path / "hist.json"))
         assert loaded.records[0].phases == {"sampling": 0.5, "forward": 1.5}
+
+    def test_planned_step_leaves_no_cyclic_tensor_garbage(self, tiny_dataset, small_config):
+        # The step's graph must be freed by reference counting alone:
+        # a cycle through it would pin every node until the collector ran.
+        model = MGBR(tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
+                     config=small_config)
+        trainer = Trainer(model, tiny_dataset, _fast_config(dedup=True))
+        assert trainer._use_planned
+        pair = next(trainer._paired_batches())
+        model.train()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            trainer._step(pair["a"], pair["b"])
+            gc.collect()
+            leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == 0
 
 
 class TestHistory:
